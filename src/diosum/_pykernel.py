@@ -9,8 +9,10 @@ interval [r, r+w] in units of 2**-bits; per-term reciprocal bounds are
 produced as IEEE doubles with error-free directed conversion (shift to
 <= 53 significant bits, then an exact power-of-two scaling) plus a single
 outward guard multiplication covering the division rounding.  The compiled
-kernel in _ckernel.pyx performs bit-identical arithmetic at bits == 128;
-this module is the selected fallback and also serves arbitrary precisions.
+kernel in _ckernel.c performs bit-identical arithmetic at bits == 128;
+this module is the reference it is tested against, the fallback when it is
+not built, and the kernel for other precisions and for blocks beyond its
+64-bit indices.
 
 Terms whose interval wraps the circle, touches zero, or is not separated
 from the cutoff are reported back by index for exact resolution by the

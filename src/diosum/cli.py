@@ -13,10 +13,9 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
-from . import counting, kernel, predict, sums
+from . import counting, predict, sums
 from .cf import IrrationalSpec, convergents, expand, expand_data
 from .errors import BlockMismatch, DiosumError, PrecisionExhausted
 from .predict import clog
@@ -39,12 +38,20 @@ def _parse_rational(text: str) -> Fraction:
         raise DiosumError(f"cannot parse rational {text!r}") from exc
 
 
+# int() parses at most this many digits by default
+_MAX_EXPONENT = 4300
+
+
 def _parse_count(text: str) -> int:
     text = text.strip().lower()
     try:
-        if "e" in text:
-            value = float(text)
-            if value != int(value):
+        if "e" in text:  # M e±k, read exactly: float would round 1e23
+            mant, exp = text.split("e")
+            k = int(exp)
+            if "/" in mant or abs(k) > _MAX_EXPONENT:
+                raise ValueError("not an integer")
+            value = Fraction(mant) * Fraction(10) ** k
+            if value.denominator != 1:
                 raise ValueError("not an integer")
             return int(value)
         return int(text)
@@ -329,13 +336,8 @@ def cmd_mc(args, writer) -> int:
             except (PrecisionExhausted, DiosumError) as exc:
                 return seed, None, None, str(exc)
 
-        if kernel.backend() == "c" and len(seeds) > 1:
-            from .sums import _workers
-
-            with ThreadPoolExecutor(max_workers=_workers()) as pool:
-                rows = list(pool.map(one, seeds))
-        else:
-            rows = [one(seed) for seed in seeds]
+        # serial: each sum already spreads its blocks over the worker threads
+        rows = [one(seed) for seed in seeds]
         ratios1, ratios2 = [], []
         for seed, s1, s2, err in rows:
             if err is not None:

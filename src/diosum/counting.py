@@ -254,18 +254,20 @@ def _gsum(ctx: _Ctx, N: int, y, u: Fraction, v: Fraction) -> int:
     y is an integer Moebius 4-tuple acting on alpha; the descent keeps
     0 < y < 1/2 (reflecting y -> 1 - y when needed) so N shrinks at least
     geometrically, and bottoms out at direct evaluation below
-    _BRUTE_CUTOFF.
+    _BRUTE_CUTOFF.  The result is total + sign * G(N, y, z) for the current
+    state, so a reflection flips the sign instead of recursing.
     """
     total = 0
+    sign = 1
     while True:
         if N <= 0:
             return total
         if N < _BRUTE_CUTOFF:
-            return total + _gsum_brute(ctx, N, y, u, v)
+            return total + sign * _gsum_brute(ctx, N, y, u, v)
         fy = _floor_linear(ctx, Fraction(1), Fraction(0), y)
         fz = _floor_linear(ctx, v, u, y)
         if fy or fz:
-            total += fy * (N * (N + 1) // 2) + fz * N
+            total += sign * (fy * (N * (N + 1) // 2) + fz * N)
             a, b, c, d = y
             y = (a - fy * c, b - fy * d, c, d)
             u = u + v * fy - fz
@@ -285,12 +287,13 @@ def _gsum(ctx: _Ctx, N: int, y, u: Fraction, v: Fraction) -> int:
                 if 1 <= n_hit <= N:
                     corr = 1
             # G_old = N(N+1)/2 - N + corr - G_new
-            total += N * (N + 1) // 2 - N + corr
-            return total - _gsum(ctx, N, y, u, v)
+            total += sign * (N * (N + 1) // 2 - N + corr)
+            sign = -sign
+            continue
         M = _floor_linear(ctx, v + N, u, y)
         if M <= 0:
             return total
-        total += N * M + M
+        total += sign * (N * M + M)
         # y <- -1/y, z <- z / y = v + (-u) * (-1/y)
         a, b, c, d = y
         y = (-c, -d, a, b)

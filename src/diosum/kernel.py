@@ -1,17 +1,20 @@
 """Backend selection for the term kernel.
 
-The compiled extension handles the default 128-bit working representation;
-the pure-Python module handles any precision and is the fallback when the
-extension is unavailable.  Both produce bit-identical results at 128 bits.
-Set DIOSUM_KERNEL=py to force the fallback (used by the benchmark and the
-equivalence tests).
+The compiled extension (_ckernel.c) handles the default 128-bit working
+representation whenever the indices, the interval widths n*aw + bw and the
+cut or threshold band fit its 64- and 128-bit integers; the pure-Python
+module handles every other block, any precision, and is the fallback when
+the extension is unavailable.  Both produce bit-identical results at 128
+bits.  Set DIOSUM_KERNEL=py to force the fallback (used by the benchmark
+and the equivalence tests).
 """
 
 import os
 
 from . import _pykernel
 
-_MASK64 = (1 << 64) - 1
+_U64 = 1 << 64
+_U128 = 1 << 128
 
 try:
     from . import _ckernel
@@ -34,53 +37,33 @@ def backend() -> str:
     return "c" if _ckernel is not None else "py"
 
 
-def _split(x: int):
-    return (x >> 64) & _MASK64, x & _MASK64
+def _use_c(bits, aw, bw, n0, n1, band) -> bool:
+    """Whether the compiled kernel can run this block exactly."""
+    return (
+        bits == 128
+        and 0 <= n0
+        and 0 <= aw
+        and 0 <= bw
+        and 0 <= n1 < _U64
+        and n1 * aw + bw < _U64
+        and (band is None or 0 <= band[0] <= band[1] < _U128)
+        and backend() == "c"
+    )
 
 
 def sum_block(a, aw, b, bw, n0, n1, variant, weight, cut, exclude, bits):
     """Dispatching wrapper; `cut` is None or an exact integer pair (lo, hi)."""
-    if (
-        bits == 128
-        and backend() == "c"
-        and (cut is None or cut[1] < (1 << 128))
-    ):
-        a_hi, a_lo = _split(a)
-        b_hi, b_lo = _split(b)
-        if cut is None:
-            has_cut, cl, ch = 0, (0, 0), (0, 0)
-        else:
-            has_cut, cl, ch = 1, _split(cut[0]), _split(cut[1])
-        s_lo, s_hi, included, flags, overflow = _ckernel.sum_block_128(
-            a_hi, a_lo, aw, b_hi, b_lo, bw, n0, n1, variant, weight,
-            has_cut, cl[0], cl[1], ch[0], ch[1], exclude,
-        )
-        if overflow:
-            return _py_sum(a, aw, b, bw, n0, n1, variant, weight, cut, exclude, bits)
-        return s_lo, s_hi, included, flags
-    return _py_sum(a, aw, b, bw, n0, n1, variant, weight, cut, exclude, bits)
-
-
-def _py_sum(a, aw, b, bw, n0, n1, variant, weight, cut, exclude, bits):
     cut_lo, cut_hi = cut if cut is not None else (None, None)
+    if _use_c(bits, aw, bw, n0, n1, cut):
+        return _ckernel.sum_block_128(
+            a, aw, b, bw, n0, n1, variant, weight, cut_lo, cut_hi, exclude
+        )
     return _pykernel.sum_block(
         a, aw, b, bw, n0, n1, variant, weight, cut_lo, cut_hi, exclude, bits
     )
 
 
 def count_block(a, aw, b, bw, n0, n1, variant, t_lo, t_hi, bits):
-    if bits == 128 and backend() == "c" and t_hi < (1 << 128):
-        a_hi, a_lo = _split(a)
-        b_hi, b_lo = _split(b)
-        tl = _split(t_lo)
-        th = _split(t_hi)
-        count, flags, overflow = _ckernel.count_block_128(
-            a_hi, a_lo, aw, b_hi, b_lo, bw, n0, n1, variant,
-            tl[0], tl[1], th[0], th[1],
-        )
-        if overflow:
-            return _pykernel.count_block(
-                a, aw, b, bw, n0, n1, variant, t_lo, t_hi, bits
-            )
-        return count, flags
+    if _use_c(bits, aw, bw, n0, n1, (t_lo, t_hi)):
+        return _ckernel.count_block_128(a, aw, b, bw, n0, n1, variant, t_lo, t_hi)
     return _pykernel.count_block(a, aw, b, bw, n0, n1, variant, t_lo, t_hi, bits)

@@ -224,10 +224,14 @@ def _sum_range(spec, beta, N, variant, weight, cutoff, exclude, bits):
     return _assemble(lo_leaves, hi_leaves, included, bits, len(flagged)), included
 
 
-def _certified_sum(spec, N, variant_name, weight_name, cutoff, beta, exclude,
-                   rel_tol=DEFAULT_REL_TOL):
+def _check_N(N):
     if N < 1:
         raise DiosumError("N must be >= 1")
+
+
+def _certified_sum(spec, N, variant_name, weight_name, cutoff, beta, exclude,
+                   rel_tol=DEFAULT_REL_TOL):
+    _check_N(N)
     variant = _VARIANT_IDS[variant_name]
     weight = 1 if weight_name == "1/n" else 0
     beta = Fraction(beta) if beta is not None else Fraction(0)
@@ -263,6 +267,7 @@ def sum_dist(spec: IrrationalSpec, N: int, c) -> SumResult:
     c = Fraction(c)
     if c <= 0:
         raise DiosumError("c must be a positive rational")
+    _check_N(N)
     return _certified_sum(spec, N, "dist", "1", c / Fraction(N), None, 0)
 
 
@@ -285,6 +290,7 @@ def sum_frac(spec: IrrationalSpec, N: int, c=None, variant: str = "frac",
         c = Fraction(c)
         if c <= 0:
             raise DiosumError("c must be a positive rational")
+        _check_N(N)
         cutoff = c / Fraction(N)
     return _certified_sum(spec, N, variant, weight, cutoff, None, 0)
 

@@ -245,3 +245,23 @@ def test_cli_never_tracebacks():
         proc = run_cli(*args, check=False)
         assert proc.returncode in (2, 3, 4), (args, proc.returncode, proc.stderr)
         assert "Traceback" not in proc.stderr, args
+
+
+def test_sum_rejects_N_below_one():
+    for family in ("dist", "frac", "cofrac"):
+        proc = run_cli("sum", "--family", family, "--alpha", "phi", "--c", "1/2",
+                       "--N", "0", check=False)
+        assert proc.returncode == 2, (family, proc.stderr)
+        assert "Traceback" not in proc.stderr
+
+
+def test_parse_count_exact():
+    from diosum.cli import _parse_count
+    from diosum.errors import DiosumError
+
+    assert _parse_count("1e23") == 10**23
+    assert _parse_count("1.5E1") == 15
+    assert _parse_count("3e+400") == 3 * 10**400
+    for text in ("1.25e1", "1e-1", "1/2e3", "2e3e4", "1.5"):
+        with pytest.raises(DiosumError):
+            _parse_count(text)

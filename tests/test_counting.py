@@ -86,6 +86,15 @@ def test_count_fast_spec_instances(phi, sqrt2):
     assert counting.count_fast(phi, 12345, Fraction(1, 2)) == 12345
 
 
+def test_count_fast_deep_descent(sqrt2):
+    # hundreds of reflections in the descent; for irrational alpha and
+    # t < 1/2 the dist count splits into the two one-sided counts
+    N, t = 3 * 10**400, Fraction(1, 7)
+    assert counting.count_fast(sqrt2, N, t) == counting.count_fast(
+        sqrt2, N, t, "frac"
+    ) + counting.count_fast(sqrt2, N, t, "complement")
+
+
 def test_count_monotone_in_t(phi):
     prev = 0
     for k in range(200, 1, -13):

@@ -117,3 +117,39 @@ def test_directed_float_conversion_roundtrip():
         hi = _pykernel.float_above(v, 128)
         assert Fraction(lo) <= Fraction(v, 1 << 128) <= Fraction(hi)
         assert hi == lo or hi == math.nextafter(lo, math.inf)
+
+
+def test_block_flagging_more_than_buffer_matches():
+    # a_3 = 10^40 after q_2 = 3: every multiple of 3 is flagged, about 5,400
+    # in one block, so the compiled loop flushes its flag buffer many times
+    spec = IrrationalSpec.parse(f"digits:0,1,2,{10**40},1,3,1*200")
+    a = frac_scaled(spec, 128)
+    for variant in (0, 1, 2):
+        got_c = kernel.sum_block(a, 1, 0, 0, 1, 16384, variant, 1, None, 0, 128)
+        got_py = _pykernel.sum_block(a, 1, 0, 0, 1, 16384, variant, 1, None, None, 0, 128)
+        assert got_c == got_py
+        assert len(got_c[3]) > 256
+    t_lo = (1 << 128) // 7
+    got_c = kernel.count_block(a, 1, 0, 0, 1, 16384, 0, t_lo, t_lo + 1, 128)
+    got_py = _pykernel.count_block(a, 1, 0, 0, 1, 16384, 0, t_lo, t_lo + 1, 128)
+    assert got_c == got_py
+
+
+@pytest.mark.parametrize(
+    "n0, n1, aw",
+    [
+        (2**64 - 5, 2**64 + 5, 1),  # n1 beyond u64
+        (1, 3000, 2**60),  # n * aw beyond u64
+        (2**64 - 5, 2**64 - 1, 1),  # last u64 index: the compiled loop must stop
+    ],
+)
+def test_blocks_near_u64_limit_match(n0, n1, aw):
+    a = frac_scaled(IrrationalSpec.phi(), 128)
+    for variant in (0, 1, 2):
+        got = kernel.sum_block(a, aw, 0, 0, n0, n1, variant, 1, None, n0 + 2, 128)
+        assert got == _pykernel.sum_block(
+            a, aw, 0, 0, n0, n1, variant, 1, None, None, n0 + 2, 128
+        )
+    t_lo = (1 << 128) // 7
+    got = kernel.count_block(a, aw, 0, 0, n0, n1, 0, t_lo, t_lo + 1, 128)
+    assert got == _pykernel.count_block(a, aw, 0, 0, n0, n1, 0, t_lo, t_lo + 1, 128)

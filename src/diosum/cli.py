@@ -138,21 +138,30 @@ def cmd_expand(args, writer) -> int:
     spec = IrrationalSpec.parse(args.alpha)
     digits = expand(spec, args.terms)
     conv = convergents(digits)
-    s = 0
-    for k, (a, (p, q)) in enumerate(zip(digits, conv)):
-        if k >= 1:
-            s += a
-        writer.write(
-            {
-                "row_type": "digit",
-                "alpha": args.alpha,
-                "k": k,
-                "a_k": a,
-                "p_k": p,
-                "q_k": q,
-                "s_k": s,
-            }
-        )
+    # convergents of long expansions pass Python's 4300-digit int -> str limit
+    # (Pythons without the limit have no get_int_max_str_digits)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        s = 0
+        for k, (a, (p, q)) in enumerate(zip(digits, conv)):
+            if k >= 1:
+                s += a
+            writer.write(
+                {
+                    "row_type": "digit",
+                    "alpha": args.alpha,
+                    "k": k,
+                    "a_k": a,
+                    "p_k": p,
+                    "q_k": q,
+                    "s_k": s,
+                }
+            )
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return EXIT_OK
 
 
@@ -163,24 +172,40 @@ def _measure(family, specs, N, args):
         return sums.sum_harmonic_dist(specs[0], N)
     if family in ("frac", "cofrac"):
         variant = "frac" if family == "frac" else "complement"
-        weight = args.weight if args.weight in ("1", "1/n") else "1"
-        return sums.sum_frac(specs[0], N, args.c, variant, weight)
+        return sums.sum_frac(specs[0], N, args.c, variant, args.weight)
     if family == "shifted":
-        weight = args.weight if args.weight in ("1", "1/n") else "1"
         return sums.sum_shifted(
-            specs[0], args.beta or Fraction(0), N, args.mode.replace("-", "_"), weight
+            specs[0], args.beta or Fraction(0), N, args.mode.replace("-", "_"),
+            args.weight
         )
     if family == "multidim":
-        if args.weight not in ("1", "linf"):
-            raise DiosumError("multidim weight must be '1' or 'linf'")
         return sums.sum_multidim(specs, N, args.weight)
     raise DiosumError(f"unknown family {family!r}")
+
+
+# the --weight values each sum family takes; the first is its default
+_SUM_WEIGHTS = {
+    "dist": ("1",),
+    "harmonic": ("1/n",),
+    "frac": ("1", "1/n"),
+    "cofrac": ("1", "1/n"),
+    "shifted": ("1", "1/n"),
+    "multidim": ("1", "linf"),
+}
 
 
 def cmd_sum(args, writer) -> int:
     specs = _parse_alphas(args.alpha)
     if args.family != "multidim" and len(specs) != 1:
         raise DiosumError(f"family {args.family} takes exactly one alpha")
+    weights = _SUM_WEIGHTS[args.family]
+    if args.weight is None:
+        args.weight = weights[0]
+    elif args.weight not in weights:
+        raise DiosumError(
+            f"family {args.family} takes --weight {' or '.join(weights)}, "
+            f"not {args.weight}"
+        )
     if args.family in ("frac", "cofrac") and args.weight == "1" and args.c is None:
         raise DiosumError("weight-1 fractional sums need --c")
     for N in _grid(args):
@@ -323,7 +348,11 @@ def cmd_mc(args, writer) -> int:
         N = args.N_mc
         if N is None:
             raise DiosumError("--N is required for --stat sums")
+        if N < 1:
+            raise DiosumError("--N must be >= 1")
         c = args.c if args.c else Fraction(1, 2)
+        if c < 0:
+            raise DiosumError("--c must be a positive rational")
         denom1 = 2.0 * N * clog(N)
         denom2 = clog(N) ** 2
 
@@ -446,7 +475,7 @@ def _build_parser():
     p_sum.add_argument("--alpha", required=True)
     p_sum.add_argument("--c", type=_parse_rational, default=None)
     p_sum.add_argument("--beta", type=_parse_rational, default=None)
-    p_sum.add_argument("--weight", choices=("1", "1/n", "linf"), default="1")
+    p_sum.add_argument("--weight", choices=("1", "1/n", "linf"), default=None)
     p_sum.add_argument("--mode", choices=("full", "exclude-min"), default="full")
     p_sum.add_argument("--N", default=None)
     p_sum.add_argument("--N-geom", dest="N_geom", default=None)

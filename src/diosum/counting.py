@@ -1,15 +1,16 @@
 """Counting functions and discrepancy quantities.
 
 count_dist_le is the certified brute-force count; count_fast computes the
-same number in time roughly logarithmic in N by a Euclidean descent on
-floor sums: #{n <= N : {n y + z} <= t} is a difference of two sums
-G(N, y, z) = sum_{n<=N} floor(n y + z), and G satisfies an exact recursion
-that replaces y by a unimodular image of itself with N shrinking
-geometrically.  The state keeps y as an integer Moebius transform of alpha
-and z = u + v y with rational u, v, so every floor taken along the way is a
-certified decision about a linear fractional expression in alpha (with an
-exact algebraic test for the integer edge case, which alpha's
-irrationality makes decidable).
+same number by a Euclidean descent on floor sums: #{n <= N : {n y + z} <= t}
+is a difference of two sums G(N, y, z) = sum_{n<=N} floor(n y + z), and G
+satisfies an exact recursion that replaces y by a unimodular image of itself
+with N shrinking geometrically.  That is O(log N) levels, each doing a few
+operations on integers of O(log N) bits, so the cost grows about
+quadratically in the number of digits of N.  The state keeps y as an integer
+Moebius transform of alpha and z = (U + V y) / D with integers U, V, D, so
+every floor taken along the way is a certified decision about a linear
+fractional expression in alpha (with an exact algebraic test for the integer
+edge case, which alpha's irrationality makes decidable).
 
 Discrepancy is computed by the standard finite reduction over intervals
 with endpoints at the sample points; local discrepancy extrema are exact
@@ -121,183 +122,170 @@ def count_dist_le(spec: IrrationalSpec, N: int, t, variant: str = "dist",
 
 
 # ---------------------------------------------------------------------------
-# Moebius-coefficient floor machinery for the fast count
+# Integer-state floor-sum descent for the fast count
 
 
 class _Ctx:
-    __slots__ = ("spec", "cap", "bits", "a", "modulus")
+    """frac(alpha) at a precision that only grows, shared by the descents of
+    one count."""
+
+    __slots__ = ("spec", "cap", "bits", "a")
 
     def __init__(self, spec):
         self.spec = spec
         self.cap = precision_cap()
-        self.bits = 128
-        self.a = frac_scaled(spec, 128)
-        self.modulus = 1 << 128
+        self.bits = 0
+        self.a = 0
 
-    def refine(self):
-        if self.bits >= self.cap:
-            raise PrecisionExhausted(
-                f"floor not certified below {self.cap} bits", bits=self.cap
-            )
-        self.bits = min(2 * self.bits, self.cap)
-        self.a = frac_scaled(self.spec, self.bits)
-        self.modulus = 1 << self.bits
+    def frac(self, w: int) -> int:
+        """A with frac(alpha) * 2**w strictly inside (A, A + 1), w <= cap.
+
+        Truncating a finer certified A keeps the enclosure strict, so one
+        power-of-two precision serves every w below it."""
+        if w > self.bits:
+            self.bits = min(max(128, 1 << (w - 1).bit_length()), self.cap)
+            self.a = frac_scaled(self.spec, self.bits)
+        return self.a >> (self.bits - w)
 
 
-def _mfloor(ctx: _Ctx, pn: int, qn: int, rd: int, sd: int) -> int:
-    """Certified floor((pn*alpha + qn) / (rd*alpha + sd)), integer coefficients.
+def _enclose(ctx: _Ctx, w: int, y):
+    """(nl, dl, nh, dh): y = (a x + b)/(c x + d) at the two ends of
+    x = frac(alpha) in (A, A + 1) / 2**w, as exact numerator/denominator
+    pairs (scaled by 2**w)."""
+    A = ctx.frac(w)
+    a, b, c, d = y
+    nl, dl = a * A + (b << w), c * A + (d << w)
+    return nl, dl, nl + a, dl + c
 
-    The expression equals an integer m only identically (pn = m rd and
-    qn = m sd), since alpha is irrational; otherwise interval refinement
-    separates it from every integer.
+
+def _refine(ctx: _Ctx, w: int, y):
+    """Double w, up to the cap, and enclose y again there."""
+    if w >= ctx.cap:
+        raise PrecisionExhausted(
+            f"floor not certified below {ctx.cap} bits", bits=ctx.cap
+        )
+    w = min(2 * w, ctx.cap)
+    return w, _enclose(ctx, w, y)
+
+
+def _floor(K: int, U: int, D: int, y, e):
+    """floor((K y + U) / D) for D > 0, or None if the enclosure e leaves it
+    open.
+
+    The caller has checked that the denominator of y keeps one sign between
+    the ends of e, so the expression is monotone in alpha there and equal end
+    floors certify the floor.  An expression identically equal to an integer
+    m takes the value m at both ends; should the ends still disagree, the
+    algebraic test K a + U c = m D c and K b + U d = m D d certifies m.
     """
-    if rd == 0 and sd == 0:
-        raise DiosumError("zero denominator in floor expression")
-    while True:
-        a, modulus = ctx.a, ctx.modulus
-        if pn >= 0:
-            num_lo, num_hi = pn * a + qn * modulus, pn * (a + 1) + qn * modulus
-        else:
-            num_lo, num_hi = pn * (a + 1) + qn * modulus, pn * a + qn * modulus
-        if rd >= 0:
-            den_lo, den_hi = rd * a + sd * modulus, rd * (a + 1) + sd * modulus
-        else:
-            den_lo, den_hi = rd * (a + 1) + sd * modulus, rd * a + sd * modulus
-        if den_lo <= 0 <= den_hi:
-            ctx.refine()
-            continue
-        # floor is monotone, so the extreme floors sit at the corners
-        f1 = num_lo // den_lo
-        f2 = num_lo // den_hi
-        f3 = num_hi // den_lo
-        f4 = num_hi // den_hi
-        f_lo = min(f1, f2, f3, f4)
-        f_hi = max(f1, f2, f3, f4)
-        if f_lo == f_hi:
-            return f_lo
-        if f_hi - f_lo == 1 and pn == f_hi * rd and qn == f_hi * sd:
-            return f_hi  # the expression is exactly the integer f_hi
-        ctx.refine()
-
-
-def _floor_linear(ctx: _Ctx, p: Fraction, q: Fraction, y) -> int:
-    """floor(p*y + q) for rational p, q and y = (a alpha + b)/(c alpha + d)."""
+    nl, dl, nh, dh = e
+    lo = (K * nl + U * dl) // (D * dl)
+    hi = (K * nh + U * dh) // (D * dh)
+    if lo == hi:
+        return lo
+    m = max(lo, hi)
     a, b, c, d = y
-    num1 = p * a + q * c
-    num0 = p * b + q * d
-    den = num1.denominator * num0.denominator // math.gcd(
-        num1.denominator, num0.denominator
-    )
-    pn, qn = num1 * den, num0 * den
-    assert pn.denominator == 1 and qn.denominator == 1
-    return _mfloor(ctx, pn.numerator, qn.numerator, c * den, d * den)
+    if abs(hi - lo) == 1 and K * a + U * c == m * D * c and K * b + U * d == m * D * d:
+        return m
+    return None
 
 
-def _gsum_brute(ctx: _Ctx, N: int, y, u: Fraction, v: Fraction) -> int:
-    """Direct evaluation of sum_{n<=N} floor((n+v) y + u), integer interval
-    arithmetic only; ambiguous indices are retried at refined precision."""
-    a, b, c, d = y
-    un, ud = u.numerator, u.denominator
-    vn, vd = v.numerator, v.denominator
+def _gsum_brute(ctx: _Ctx, N: int, y, U: int, V: int, D: int, w: int, e) -> int:
+    """Direct evaluation of sum_{n<=N} floor(((n D + V) y + U) / D);
+    undecided indices are retried at doubled precision."""
     total = 0
-    pending = list(range(1, N + 1))
-    while pending:
-        A, modulus = ctx.a, ctx.modulus
-        if a >= 0:
-            y_lo, y_hi = a * A + b * modulus, a * (A + 1) + b * modulus
-        else:
-            y_lo, y_hi = a * (A + 1) + b * modulus, a * A + b * modulus
-        if c >= 0:
-            d_lo, d_hi = c * A + d * modulus, c * (A + 1) + d * modulus
-        else:
-            d_lo, d_hi = c * (A + 1) + d * modulus, c * A + d * modulus
-        if d_lo <= 0 <= d_hi:
-            ctx.refine()
-            continue
-        den1, den2 = vd * ud * d_lo, vd * ud * d_hi
+    pending = range(1, N + 1)
+    while True:
         retry = []
         for n in pending:
-            p = (n * vd + vn) * ud
-            if p == 0:  # value is exactly u
-                total += un // ud
-                continue
-            q = un * vd
-            if p >= 0:
-                n_lo, n_hi = p * y_lo, p * y_hi
-            else:
-                n_lo, n_hi = p * y_hi, p * y_lo
-            if q >= 0:
-                n_lo += q * d_lo
-                n_hi += q * d_hi
-            else:
-                n_lo += q * d_hi
-                n_hi += q * d_lo
-            f1 = n_lo // den1
-            f2 = n_lo // den2
-            f3 = n_hi // den1
-            f4 = n_hi // den2
-            f_lo = min(f1, f2, f3, f4)
-            f_hi = max(f1, f2, f3, f4)
-            if f_lo == f_hi:
-                total += f_lo
-            else:
+            f = _floor(n * D + V, U, D, y, e)
+            if f is None:
                 retry.append(n)
-        if retry:
-            ctx.refine()
+            else:
+                total += f
+        if not retry:
+            return total
         pending = retry
-    return total
+        w, e = _refine(ctx, w, y)
 
 
 def _gsum(ctx: _Ctx, N: int, y, u: Fraction, v: Fraction) -> int:
     """sum_{n=1}^{N} floor(n y + z) with z = u + v y, exact.
 
-    y is an integer Moebius 4-tuple acting on alpha; the descent keeps
+    y is an integer Moebius 4-tuple acting on alpha; z is kept as
+    (U + V y) / D over one fixed denominator D, which subtracting floors,
+    reflecting and inverting all preserve, so the state is integers only.
+    One enclosure of y, the tuple evaluated at the two ends of frac(alpha)'s
+    enclosure, moves with y through every step and is recomputed only when
+    a floor is left open, at doubled precision.  The descent keeps
     0 < y < 1/2 (reflecting y -> 1 - y when needed) so N shrinks at least
     geometrically, and bottoms out at direct evaluation below
     _BRUTE_CUTOFF.  The result is total + sign * G(N, y, z) for the current
     state, so a reflection flips the sign instead of recursing.
     """
+    D = math.lcm(u.denominator, v.denominator)
+    U = u.numerator * (D // u.denominator)
+    V = v.numerator * (D // v.denominator)
+    # near convergent q the enclosure of y is about q^2 2**-w wide and the
+    # current N is about N/q, so N q 2**-w <= N^2 2**-w bounds every floor's
+    # uncertainty: twice N's bits plus a margin decide them
+    w = min(ctx.cap, 2 * (N.bit_length() + max(map(abs, y)).bit_length()) + 64)
+    e = _enclose(ctx, w, y)
     total = 0
     sign = 1
     while True:
         if N <= 0:
             return total
+        nl, dl, nh, dh = e
+        if not (dl > 0 < dh or dl < 0 > dh):  # a pole of y inside the enclosure
+            w, e = _refine(ctx, w, y)
+            continue
         if N < _BRUTE_CUTOFF:
-            return total + sign * _gsum_brute(ctx, N, y, u, v)
-        fy = _floor_linear(ctx, Fraction(1), Fraction(0), y)
-        fz = _floor_linear(ctx, v, u, y)
+            return total + sign * _gsum_brute(ctx, N, y, U, V, D, w, e)
+        a, b, c, d = y
+        fy = _floor(1, 0, 1, y, e)
+        fz = _floor(V, U, D, y, e)
+        if fy is None or fz is None:
+            w, e = _refine(ctx, w, y)
+            continue
         if fy or fz:
             total += sign * (fy * (N * (N + 1) // 2) + fz * N)
-            a, b, c, d = y
             y = (a - fy * c, b - fy * d, c, d)
-            u = u + v * fy - fz
+            e = (nl - fy * dl, dl, nh - fy * dh, dh)
+            U += V * fy - fz * D
             continue
         # now 0 < y < 1, 0 <= z < 1
-        two_y = _floor_linear(ctx, Fraction(2), Fraction(0), y)
-        if two_y >= 1:
+        two_y = _floor(2, 0, 1, y, e)
+        if two_y is None:
+            w, e = _refine(ctx, w, y)
+            continue
+        if two_y:
             # reflect y -> 1 - y (in (0, 1/2)); floor(n y + z) becomes
             # n - 1 - floor(n y' - z) except at exact-integer hits, which
             # require v = -n and u integral and are counted exactly.
-            a, b, c, d = y
             y = (c - a, d - b, c, d)
-            u, v = -(u + v), v
+            e = (dl - nl, dl, dh - nh, dh)
+            U = -(U + V)
             corr = 0
-            if v.denominator == 1 and u.denominator == 1:
-                n_hit = -int(v)  # an exact hit needs n = -v (and u integral)
+            if V % D == 0 and U % D == 0:
+                n_hit = -V // D  # an exact hit needs n = -v (and u integral)
                 if 1 <= n_hit <= N:
                     corr = 1
             # G_old = N(N+1)/2 - N + corr - G_new
             total += sign * (N * (N + 1) // 2 - N + corr)
             sign = -sign
             continue
-        M = _floor_linear(ctx, v + N, u, y)
+        M = _floor(V + N * D, U, D, y, e)
+        if M is None:
+            w, e = _refine(ctx, w, y)
+            continue
         if M <= 0:
             return total
         total += sign * (N * M + M)
         # y <- -1/y, z <- z / y = v + (-u) * (-1/y)
-        a, b, c, d = y
         y = (-c, -d, a, b)
-        u, v = v, -u
+        e = (-dl, nl, -dh, nh)
+        U, V = V, -U
         N = M
 
 

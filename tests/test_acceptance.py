@@ -120,7 +120,7 @@ def test_criterion_3a_itemized_normalized_residuals():
     "residual by about a_(K+1) * 1.64 = 1.6e4 while the envelope already "
     "contains sqrt(a_(K+1)) log a_(K+1) ~ 921, capping the normalized shift "
     "near 1.64 sqrt(a)/log a = 17.8 < 100 for a = 10^4 at any N in the block "
-    "(measured 16.1 at N = q_K sqrt(a_(K+1))); see the decisions ledger",
+    "(measured 16.1 at N = q_K sqrt(a_(K+1)), the N this test uses)",
 )
 def test_criterion_3b_omitted_term_dominance():
     data = expand_data(BIG_DIGIT_SPEC, 12)
@@ -210,7 +210,8 @@ def test_criterion_5a_erdos_cutoff_sum(mc_ratios):
     "(pi^2/6) s_K + a_(K+1) sum j^-2 of the harmonic expansion contribute "
     "a systematic +35-50% of (log N)^2 for almost every sample (the "
     "criterion's 0.2 (log N)^2 error estimate omits their constants), so "
-    "the S2 median sits near 1.5; see the decisions ledger",
+    "the S2 median sits near 1.5; the terms are itemized in "
+    "predict.predict_sum_harmonic's second_order",
 )
 def test_criterion_5b_erdos_harmonic_sum(mc_ratios):
     _, r2 = mc_ratios

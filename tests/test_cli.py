@@ -265,3 +265,35 @@ def test_parse_count_exact():
     for text in ("1.25e1", "1e-1", "1/2e3", "2e3e4", "1.5"):
         with pytest.raises(DiosumError):
             _parse_count(text)
+
+
+def test_mc_rejects_bad_sum_arguments():
+    # a usage error, not two skipped samples and exit 0
+    for bad in (["--N", "0"], ["--N", "100", "--c=-1/2"]):
+        proc = run_cli("mc", "--samples", "2", "--stat", "sums", *bad, check=False)
+        assert proc.returncode == 2, (bad, proc.stderr)
+        assert "skipped seed" not in proc.stderr and proc.stdout == ""
+
+
+def test_expand_writes_convergents_past_int_str_limit():
+    # q_500 of this spec has about 4500 digits, past Python's default 4300
+    spec = "digits:0,999999999*600"
+    for fmt in ("csv", "json"):
+        proc = run_cli("expand", "--alpha", spec, "--terms", "500", "--format", fmt)
+        last = proc.stdout.splitlines()[-1]
+        # parsing the value back would hit the same limit in this process
+        q_text = last.split('"q_k": ')[1].split(",")[0] if fmt == "json" else last.split(",")[5]
+        assert q_text.isdigit() and len(q_text) > 4300
+
+
+def test_sum_rejects_weight_the_family_does_not_take():
+    for family, takes in (("shifted", "1 or 1/n"), ("frac", "1 or 1/n"),
+                          ("cofrac", "1 or 1/n"), ("dist", "1"), ("harmonic", "1/n")):
+        proc = run_cli("sum", "--family", family, "--alpha", "phi", "--c", "1/2",
+                       "--N", "10", "--weight", "linf", check=False)
+        assert proc.returncode == 2, (family, proc.stderr)
+        assert f"takes --weight {takes}" in proc.stderr, proc.stderr
+        assert proc.stdout == ""
+    proc = run_cli("sum", "--family", "multidim", "--alpha", "cbrt2,cbrt4",
+                   "--N", "4", "--weight", "1/n", check=False)
+    assert proc.returncode == 2 and "takes --weight 1 or linf" in proc.stderr

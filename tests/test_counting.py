@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from diosum import counting, reals, sums
 from diosum.cf import IrrationalSpec, expand_data
-from diosum.errors import DiosumError
+from diosum.errors import DiosumError, PrecisionExhausted
 
 CBRT2 = IrrationalSpec.root(2, 3)
 CBRT4 = IrrationalSpec.root(4, 3)
@@ -50,18 +51,20 @@ def test_count_fast_equals_brute(pick, N, k, variant):
     )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=90, deadline=None)
 @given(
+    pick=st.integers(0, 2),
     N=st.integers(1, 300),
     k=st.integers(2, 60),
     bn=st.integers(-7, 7),
     bd=st.integers(1, 9),
+    variant=st.sampled_from(["dist", "frac", "complement"]),
 )
-def test_count_fast_with_shift(N, k, bn, bd):
-    spec = IrrationalSpec.sqrt2()
+def test_count_fast_with_shift(pick, N, k, bn, bd, variant):
+    spec = [IrrationalSpec.sqrt2(), IrrationalSpec.e(), IrrationalSpec.uniform(3)][pick]
     t, beta = Fraction(1, k), Fraction(bn, bd)
-    assert counting.count_fast(spec, N, t, "dist", beta) == counting.count_dist_le(
-        spec, N, t, "dist", beta
+    assert counting.count_fast(spec, N, t, variant, beta) == counting.count_dist_le(
+        spec, N, t, variant, beta
     )
 
 
@@ -93,6 +96,48 @@ def test_count_fast_deep_descent(sqrt2):
     assert counting.count_fast(sqrt2, N, t) == counting.count_fast(
         sqrt2, N, t, "frac"
     ) + counting.count_fast(sqrt2, N, t, "complement")
+
+
+# sha256 of the decimal count_fast(spec, N, t, variant, 2/7) for dist, frac
+# and complement, at the sizes the benchmark counts at; recorded from the
+# Fraction-state descent this one replaced
+PINNED_HUGE_COUNTS = [
+    ("e", 8 * 10**800 + 364680, Fraction(1, 10), (
+        "89722e22f00cedb1bcbcb1ff7aef1a103b07408b67ae5f5c78bdb29a4e8a821e",
+        "e4b816828cbf6d7f518d37bf5efe8d166f5975fbde3d9541d3b5bb4327166ab6",
+        "f0a76283bc0aa940d28f764dbed834763019236251ec044d17956450fee3cf59")),
+    ("phi", 2 * 10**400 + 271828, Fraction(1, 7), (
+        "82c7bc5020080c9c7941c3c52e2a815a4c9de6faaab90b2b8a8ec6cc7ebac662",
+        "4b800a41376607209c8476a43f8c4db281d92fe27cf2f7baca611851787d2789",
+        "8e8c36e106ffd293abdfee5c0944d76d2a1dff667345874a3913e02fd7b03cc1")),
+    ("cbrt2", 2 * 10**400 + 141421, Fraction(1, 13), (
+        "8aec693a15295b8e5852078e04f0f40edfce752dd51ecb3c3cc3fb64f365c315",
+        "d9fde927037d6a7667478d4ac435f68c3c076aa35d721c1cc63605c974e58c16",
+        "baa366fe0891878096ad5f19d2c2bca9ba0104098c84e985c7dd9a9746611db9")),
+    ("sqrt2", 8 * 10**300 + 577215, Fraction(1, 3), (
+        "218c945e55d72495a819dc8c4e5dfccece424438717832886312bed2268e9d2d",
+        "d41b0813f2ce9a9a8b4d80f6dab644d1609735f2a6c398f45017604f21840ded",
+        "cbd2d5fd5df360a4e6f9f1de878fc8d9d8c8aa417ccd1a561cf3bcccd11dc1ea")),
+    ("uniform:12345", 10**200 + 31415, Fraction(2, 9), (
+        "56462ae11e9200221aaaa57854486578cd08dc58c2fb6592f3c1a5dec14cb2bf",
+        "3f0058eec599b337e102b81d37fa1066d365cd6a7d77057c572f736844ca8e06",
+        "20ab09c6fae3063b9d33379c9ecf4b3bc854e26916fae505f00804f22b412adb")),
+]
+
+
+@pytest.mark.parametrize("name, N, t, digests", PINNED_HUGE_COUNTS,
+                         ids=[case[0] for case in PINNED_HUGE_COUNTS])
+def test_count_fast_pinned_at_huge_N(name, N, t, digests):
+    spec = IrrationalSpec.parse(name)
+    for variant, want in zip(("dist", "frac", "complement"), digests):
+        got = counting.count_fast(spec, N, t, variant, Fraction(2, 7))
+        assert hashlib.sha256(str(got).encode()).hexdigest() == want, variant
+
+
+def test_count_fast_precision_cap(phi, monkeypatch):
+    monkeypatch.setenv("DIOSUM_MAX_PRECISION_BITS", "512")
+    with pytest.raises(PrecisionExhausted):
+        counting.count_fast(phi, 10**200, Fraction(1, 7))
 
 
 def test_count_monotone_in_t(phi):

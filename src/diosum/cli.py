@@ -19,6 +19,7 @@ from . import counting, predict, sums
 from .cf import IrrationalSpec, convergents, expand, expand_data
 from .errors import BlockMismatch, DiosumError, PrecisionExhausted
 from .predict import clog
+from .reals import precision_cap
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -167,7 +168,7 @@ def cmd_expand(args, writer) -> int:
 
 def _measure(family, specs, N, args):
     if family == "dist":
-        return sums.sum_dist(specs[0], N, args.c if args.c else Fraction(1, 2))
+        return sums.sum_dist(specs[0], N, Fraction(1, 2) if args.c is None else args.c)
     if family == "harmonic":
         return sums.sum_harmonic_dist(specs[0], N)
     if family in ("frac", "cofrac"):
@@ -183,7 +184,8 @@ def _measure(family, specs, N, args):
     raise DiosumError(f"unknown family {family!r}")
 
 
-# the --weight values each sum family takes; the first is its default
+# the --weight values each sum family and each theorem take; the first is
+# the default (thm1.1 takes its --family's)
 _SUM_WEIGHTS = {
     "dist": ("1",),
     "harmonic": ("1/n",),
@@ -192,20 +194,30 @@ _SUM_WEIGHTS = {
     "shifted": ("1", "1/n"),
     "multidim": ("1", "linf"),
 }
+_COMPARE_WEIGHTS = {
+    "thm2.1": ("1",),
+    "thm2.2": ("1/n",),
+    "thm3.1": ("1/n", "1"),
+    "thm3.2": ("1", "1/n"),
+    "thm3.3": ("1", "linf"),
+}
+
+
+def _pick_weight(args, weights, owner):
+    """Default args.weight to weights[0]; reject a weight not in weights."""
+    if args.weight is None:
+        args.weight = weights[0]
+    elif args.weight not in weights:
+        raise DiosumError(
+            f"{owner} takes --weight {' or '.join(weights)}, not {args.weight}"
+        )
 
 
 def cmd_sum(args, writer) -> int:
     specs = _parse_alphas(args.alpha)
     if args.family != "multidim" and len(specs) != 1:
         raise DiosumError(f"family {args.family} takes exactly one alpha")
-    weights = _SUM_WEIGHTS[args.family]
-    if args.weight is None:
-        args.weight = weights[0]
-    elif args.weight not in weights:
-        raise DiosumError(
-            f"family {args.family} takes --weight {' or '.join(weights)}, "
-            f"not {args.weight}"
-        )
+    _pick_weight(args, _SUM_WEIGHTS[args.family], f"family {args.family}")
     if args.family in ("frac", "cofrac") and args.weight == "1" and args.c is None:
         raise DiosumError("weight-1 fractional sums need --c")
     for N in _grid(args):
@@ -231,7 +243,7 @@ def cmd_sum(args, writer) -> int:
 
 def _compare_row(args, specs, N):
     theorem = args.theorem
-    c = args.c if args.c else Fraction(1, 2)
+    c = Fraction(1, 2) if args.c is None else args.c
     if theorem == "thm1.1":
         if args.family == "harmonic":
             measured = sums.sum_harmonic_dist(specs[0], N).value
@@ -250,21 +262,21 @@ def _compare_row(args, specs, N):
     elif theorem == "thm3.1":
         data = expand_data(specs[0], _table_depth(specs[0], N))
         variant = args.variant
-        weight = args.weight if args.weight in ("1", "1/n") else "1/n"
+        weight = args.weight
         report = predict.predict_frac(data, N, variant, weight, K=args.K)
         if weight == "1":
             measured = sums.sum_frac(specs[0], N, c, variant, "1").value
         else:
             measured = sums.sum_frac(specs[0], N, None, variant, "1/n").value
     elif theorem == "thm3.2":
-        weight = args.weight if args.weight in ("1", "1/n") else "1"
+        weight = args.weight
         report = predict.predict_shifted(N, weight)
         beta = args.beta or Fraction(0)
         mode = "exclude_min" if weight == "1" else "full"
         measured = sums.sum_shifted(specs[0], beta, N, mode, weight).value
     elif theorem == "thm3.3":
         d = len(specs)
-        weight = "linf" if args.weight == "linf" else "1"
+        weight = args.weight
         reports = predict.predict_multidim(d, N)
         report = reports["weighted"] if weight == "linf" else reports["sum"]
         measured = sums.sum_multidim(specs, N, weight).value
@@ -281,6 +293,12 @@ def _table_depth(spec, N) -> int:
 
 def cmd_compare(args, writer) -> int:
     specs = _parse_alphas(args.alpha)
+    if args.theorem == "thm1.1":
+        _pick_weight(args, _SUM_WEIGHTS[args.family], f"thm1.1 --family {args.family}")
+    else:
+        _pick_weight(args, _COMPARE_WEIGHTS[args.theorem], args.theorem)
+    if args.c is not None and args.c <= 0:
+        raise DiosumError("c must be a positive rational")
     had_block_error = False
     for N in _grid(args):
         try:
@@ -350,9 +368,12 @@ def cmd_mc(args, writer) -> int:
             raise DiosumError("--N is required for --stat sums")
         if N < 1:
             raise DiosumError("--N must be >= 1")
-        c = args.c if args.c else Fraction(1, 2)
-        if c < 0:
+        c = Fraction(1, 2) if args.c is None else args.c
+        if c <= 0:
             raise DiosumError("--c must be a positive rational")
+        # bad settings are usage errors here, not a skipped seed each
+        sums._workers()
+        precision_cap()
         denom1 = 2.0 * N * clog(N)
         denom2 = clog(N) ** 2
 

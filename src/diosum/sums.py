@@ -3,9 +3,14 @@
 All families share one pipeline: terms are evaluated in blocks by the
 kernel at 128 working bits, block subtotals are combined by a fixed
 balanced reduction over chunks of 2**14 indices (deterministic and
-independent of worker count), terms the kernel cannot certify are resolved
-exactly at escalating precision, and a final outward guard turns the
-directed double bounds into an exact dyadic enclosure.
+independent of worker count), and a final outward guard turns the
+directed double bounds into an exact dyadic enclosure.  The terms the
+kernel cannot certify are resolved exactly in one batch per call: all of
+them at 256 bits, the ones still open at 512, and so on up to the cap.
+
+The exclude-min argmin refines only the indices that a kernel count pass
+flags as possibly below a small threshold; every other index is certainly
+above it.
 """
 
 from __future__ import annotations
@@ -71,42 +76,34 @@ class SumResult:
 
 
 def _workers() -> int:
-    raw = os.environ.get("DIOSUM_WORKERS")
-    if raw:
-        return max(1, int(raw))
-    return max(1, os.cpu_count() or 1)
+    """Kernel threads per sum: DIOSUM_WORKERS, at most the CPU count."""
+    cpus = os.cpu_count() or 1
+    raw = os.environ.get("DIOSUM_WORKERS") or str(cpus)
+    if not raw.isdecimal() or int(raw) < 1:
+        raise DiosumError(f"DIOSUM_WORKERS must be a positive integer, not {raw!r}")
+    return min(int(raw), cpus)
 
 
-def _float_up(fr: Fraction) -> float:
-    f = float(fr)
-    return f if Fraction(f) >= fr else math.nextafter(f, math.inf)
+def _div_up(m: int, d: int) -> float:
+    """Smallest double >= m / d (m, d > 0)."""
+    f = m / d  # correctly rounded
+    p, q = f.as_integer_ratio()
+    return f if p * d >= m * q else math.nextafter(f, math.inf)
 
 
-def _float_dn(fr: Fraction) -> float:
-    f = float(fr)
-    return f if Fraction(f) <= fr else math.nextafter(f, -math.inf)
-
-
-def _cut_band(cutoff: Fraction | None, bits: int):
-    if cutoff is None:
-        return None
-    num = cutoff.numerator << bits
-    lo, rem = divmod(num, cutoff.denominator)
-    return lo, lo + (0 if rem == 0 else 1)
+def _div_dn(m: int, d: int) -> float:
+    """Largest double <= m / d (m, d > 0)."""
+    f = m / d
+    p, q = f.as_integer_ratio()
+    return f if p * d <= m * q else math.nextafter(f, -math.inf)
 
 
 def _pairwise(values):
     """Fixed balanced reduction; deterministic for a given leaf order."""
-    values = list(values)
-    if not values:
-        return 0.0
+    values = list(values) or [0.0]
     while len(values) > 1:
-        nxt = []
-        for i in range(0, len(values) - 1, 2):
-            nxt.append(values[i] + values[i + 1])
-        if len(values) % 2:
-            nxt.append(values[-1])
-        values = nxt
+        odd = values[-1:] if len(values) % 2 else []
+        values = [values[i] + values[i + 1] for i in range(0, len(values) - 1, 2)] + odd
     return values[0]
 
 
@@ -131,56 +128,58 @@ def _assemble(lo_leaves, hi_leaves, included, bits, n_resolved) -> BallReal:
 # Exact resolution of kernel-flagged terms
 
 
-def _linear_interval(entries, beta: Fraction, bits: int):
-    """[r, r+w]/2**bits enclosing frac(sum coef*alpha + beta), exact."""
-    modulus = 1 << bits
-    r = 0
-    w = 0
-    for spec, coef in entries:
-        a = frac_scaled(spec, bits)
-        r += coef * a
-        if coef < 0:
-            r += coef
-        w += abs(coef)
-    b, wb = beta_scaled(beta, bits)
-    return (r + b) % modulus, w + wb, modulus
+def _resolve_terms(specs, terms, beta, variant, cutoff, dependence_suspect=False):
+    """Certified (t_lo, t_hi) float bounds for each term, None if cut off.
 
-
-def _resolve_term(entries, beta, variant, weight_div, cutoff, label,
-                  dependence_suspect=False):
-    """Certified (t_lo, t_hi) float bounds for one term, or None if excluded.
-
-    Escalates precision by doubling; raises PrecisionExhausted at the cap.
-    With dependence_suspect (multidimensional linear forms), a value that
-    keeps straddling an integer at the cap raises RationalDependence
-    instead.
+    A term (key, coefs, weight_div) is 1 / (weight_div * f(x)) with f the
+    variant map and x = sum(coefs[i] * alpha_i) + beta, alpha_i = specs[i].
+    Every term is tried at 256 bits, those still open at 512, and so on;
+    at the cap the first open term raises PrecisionExhausted, or, with
+    dependence_suspect (multidimensional forms), RationalDependence if x
+    stays next to an integer.  The bounds are the directed roundings of the
+    exact quotients, whatever the level that decides them.
     """
+    out = [None] * len(terms)
+    pending = [(i, False) for i in range(len(terms))]
     cap = precision_cap()
     bits = 256
-    while True:
-        r, w, modulus = _linear_interval(entries, beta, bits)
-        mapped = map_variant(r, w, modulus, variant)
-        separated = mapped is not None and mapped[0] > 0
-        if separated:
+    while pending:
+        modulus = 1 << bits
+        scaled = [frac_scaled(s, bits) for s in specs]
+        b, wb = beta_scaled(beta, bits)
+        if cutoff is not None:
+            cut_num, cut_den = cutoff.numerator << bits, cutoff.denominator
+        still_open = []  # (index, whether x may be an integer)
+        for i, _ in pending:
+            _, coefs, wd = terms[i]
+            # c * alpha * 2**bits lies in [c*a, c*a + c] if c >= 0, else [c*(a+1), c*a]
+            r, w = b, wb
+            for c, a in zip(coefs, scaled):
+                r += c * a if c >= 0 else c * (a + 1)
+                w += abs(c)
+            mapped = map_variant(r % modulus, w, modulus, variant)
+            if mapped is None or mapped[0] == 0:
+                still_open.append((i, True))
+                continue
             d_lo, d_hi = mapped
-            if cutoff is not None:
-                if Fraction(d_hi, modulus) <= cutoff:
-                    return None
-                if Fraction(d_lo, modulus) < cutoff:
-                    separated = False
-            if separated and (d_hi - d_lo) << 48 <= d_lo:
-                t_hi = Fraction(modulus, d_lo * weight_div)
-                t_lo = Fraction(modulus, d_hi * weight_div)
-                return _float_dn(t_lo), _float_up(t_hi)
-        if bits >= cap:
-            if dependence_suspect and (mapped is None or mapped[0] == 0):
+            if cutoff is not None and d_hi * cut_den <= cut_num:
+                continue  # certainly below the cutoff: excluded
+            if (cutoff is None or d_lo * cut_den >= cut_num) and (d_hi - d_lo) << 48 <= d_lo:
+                out[i] = (_div_dn(modulus, d_hi * wd), _div_up(modulus, d_lo * wd))
+            else:
+                still_open.append((i, False))
+        if still_open and bits >= cap:
+            i, near_integer = still_open[0]
+            if dependence_suspect and near_integer:
                 raise RationalDependence(
-                    f"{label}: linear form stays next to an integer at {cap} bits"
+                    f"n={terms[i][0]}: linear form stays next to an integer at {cap} bits"
                 )
             raise PrecisionExhausted(
-                f"{label}: term not certified below {cap} bits", bits=cap
+                f"n={terms[i][0]}: term not certified below {cap} bits", bits=cap
             )
+        pending = still_open
         bits = min(2 * bits, cap)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +191,10 @@ def _sum_range(spec, beta, N, variant, weight, cutoff, exclude, bits):
     b, wb = beta_scaled(beta, bits)
     modulus = 1 << bits
     b %= modulus
-    cut = _cut_band(cutoff, bits)
+    cut = None
+    if cutoff is not None:  # cutoff * modulus lies in [lo, lo + 1], exact
+        lo, rem = divmod(cutoff.numerator << bits, cutoff.denominator)
+        cut = lo, lo + (0 if rem == 0 else 1)
     if cut is not None and cut[0] >= modulus:
         # cutoff >= 1 excludes every term: the variant values are < 1 strictly
         return BallReal(Fraction(0), Fraction(0), bits), 0
@@ -202,8 +204,9 @@ def _sum_range(spec, beta, N, variant, weight, cutoff, exclude, bits):
         n0, n1 = block
         return kernel.sum_block(a, 1, b, wb, n0, n1, variant, weight, cut, exclude, bits)
 
-    if len(blocks) > 1 and kernel.backend() == "c" and _workers() > 1:
-        with ThreadPoolExecutor(max_workers=_workers()) as pool:
+    workers = _workers()
+    if len(blocks) > 1 and workers > 1 and kernel.backend() == "c":
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, blocks))
     else:
         results = [run(block) for block in blocks]
@@ -212,15 +215,12 @@ def _sum_range(spec, beta, N, variant, weight, cutoff, exclude, bits):
     hi_leaves = [r[1] for r in results]
     included = sum(r[2] for r in results)
     flagged = sorted(n for r in results for n in r[3])
-    for n in flagged:
-        resolved = _resolve_term(
-            [(spec, n)], beta, variant, n if weight else 1, cutoff, f"n={n}"
-        )
-        if resolved is None:
-            continue
-        lo_leaves.append(resolved[0])
-        hi_leaves.append(resolved[1])
-        included += 1
+    terms = [(n, (n,), n if weight else 1) for n in flagged]
+    for resolved in _resolve_terms((spec,), terms, beta, variant, cutoff):
+        if resolved is not None:
+            lo_leaves.append(resolved[0])
+            hi_leaves.append(resolved[1])
+            included += 1
     return _assemble(lo_leaves, hi_leaves, included, bits, len(flagged)), included
 
 
@@ -296,36 +296,54 @@ def sum_frac(spec: IrrationalSpec, N: int, c=None, variant: str = "frac",
 
 
 def _argmin_variant(spec, beta, N, variant_name):
+    """Certified argmin over 1 <= n <= N of the variant value of n alpha + beta.
+
+    A kernel count pass with threshold T and nothing to count flags every n
+    whose value may lie below T (T starts near 4/N and grows 8-fold until
+    some flagged value is certainly below it).  Every other n is at least
+    T, so the flagged ones are the only candidates refined.
+    """
     variant = _VARIANT_IDS[variant_name]
     beta = Fraction(beta)
     cap = precision_cap()
-    bits = 128
-    candidates = list(range(1, N + 1))
-    while True:
+
+    def boxes(candidates, bits):
         a = frac_scaled(spec, bits)
         b, wb = beta_scaled(beta, bits)
         modulus = 1 << bits
-        ivals = []
-        best_hi = None
+        out = []
         for n in candidates:
-            r = (n * a + b) % modulus
-            mapped = map_variant(r, n + wb, modulus, variant)
-            if mapped is None:
-                mapped = (0, modulus)  # wrapped; could be arbitrarily small
-            ivals.append((n, mapped[0], mapped[1]))
-            if best_hi is None or mapped[1] < best_hi:
-                best_hi = mapped[1]
-        alive = [(n, lo, hi) for (n, lo, hi) in ivals if lo <= best_hi]
+            mapped = map_variant((n * a + b) % modulus, n + wb, modulus, variant)
+            # a wrapped interval could be arbitrarily small
+            out.append((n,) + (mapped or (0, modulus)))
+        return out
+
+    bits, modulus = 128, 1 << 128
+    a = frac_scaled(spec, bits)
+    b, wb = beta_scaled(beta, bits)
+    threshold = max(1, (4 << bits) // N)
+    while threshold < modulus:
+        flagged = [n for n0 in range(1, N + 1, CHUNK) for n in kernel.count_block(
+            a, 1, b % modulus, wb, n0, min(n0 + CHUNK - 1, N), variant, 0, threshold, bits)[1]]
+        ivals = boxes(flagged, bits)
+        if any(hi < threshold for _, _, hi in ivals):
+            break
+        threshold <<= 3
+    else:  # no threshold below 1 isolates a candidate: every index is one
+        ivals = boxes(range(1, N + 1), bits)
+    while True:
+        best_hi = min(hi for _, _, hi in ivals)
+        alive = [n for n, lo, _ in ivals if lo <= best_hi]
         if len(alive) == 1:
-            return alive[0][0]
+            return alive[0]
         if bits >= cap:
             raise PrecisionExhausted(
-                f"argmin tie among {[n for n, _, _ in alive]} unresolved at "
+                f"argmin tie among {alive} unresolved at "
                 f"{cap} bits (reported, not guessed)",
                 bits=cap,
             )
-        candidates = [n for n, _, _ in alive]
         bits = min(2 * bits, cap)
+        ivals = boxes(alive, bits)
 
 
 def find_min_index(spec: IrrationalSpec, beta, N: int) -> int:
@@ -335,8 +353,7 @@ def find_min_index(spec: IrrationalSpec, beta, N: int) -> int:
     would force alpha rational), so refinement terminates in principle; an
     unresolved overlap at the cap is reported, never guessed.
     """
-    if N < 1:
-        raise DiosumError("N must be >= 1")
+    _check_N(N)
     return _argmin_variant(spec, beta, N, "dist")
 
 
@@ -353,6 +370,7 @@ def sum_shifted(spec: IrrationalSpec, beta, N: int, mode: str = "exclude_min",
         raise DiosumError(f"unknown variant {variant!r}")
     if weight not in ("1", "1/n"):
         raise DiosumError("weight must be '1' or '1/n'")
+    _check_N(N)
     exclude = _argmin_variant(spec, beta, N, variant) if mode == "exclude_min" else 0
     return _certified_sum(spec, N, variant, weight, None, beta, exclude)
 
@@ -377,17 +395,14 @@ class _LatticeAccumulator:
         self.included = 0
         self.n_resolved = 0
 
-    def point(self, vector, weight_div):
-        entries = [(s, c) for s, c in zip(self.specs, vector) if c != 0]
-        res = _resolve_term(
-            entries, Fraction(0), VARIANT_DIST, weight_div, None, f"n={vector}",
-            dependence_suspect=True,
-        )
-        self.n_resolved += 1
-        if res is not None:
-            self.lo_leaves.append(res[0])
-            self.hi_leaves.append(res[1])
-            self.included += 1
+    def resolve(self, terms):
+        """Exact bounds for flagged (vector, vector, weight_div) terms."""
+        for lo, hi in _resolve_terms(self.specs, terms, Fraction(0), VARIANT_DIST,
+                                     None, dependence_suspect=True):
+            self.lo_leaves.append(lo)
+            self.hi_leaves.append(hi)
+        self.included += len(terms)
+        self.n_resolved += len(terms)
 
     def segment(self, mult, base, bw, j0, j1, vec_fn, weight_div=1):
         """Kernel run over dist(base + j*mult) for j in [j0, j1]."""
@@ -397,15 +412,15 @@ class _LatticeAccumulator:
             mult, 1, base % self.modulus, bw, j0, j1, VARIANT_DIST, 0, None, 0, self.bits
         )
         if weight_div != 1:
-            inv_lo = _float_dn(Fraction(1, weight_div))
-            inv_hi = _float_up(Fraction(1, weight_div))
+            inv_lo = _div_dn(1, weight_div)
+            inv_hi = _div_up(1, weight_div)
             s_lo = (s_lo * inv_lo) * _GUARD_DN
             s_hi = (s_hi * inv_hi) * _GUARD_UP
         self.lo_leaves.append(s_lo)
         self.hi_leaves.append(s_hi)
         self.included += m
-        for j in flags:
-            self.point(vec_fn(j), weight_div)
+        if flags:
+            self.resolve([(v, v, weight_div) for v in map(vec_fn, flags)])
 
     def prefix_base(self, prefix):
         r = 0
@@ -495,8 +510,7 @@ def sum_multidim(specs, N: int, weight: str = "1") -> SumResult:
         acc.lo_leaves.append(s_lo)
         acc.hi_leaves.append(s_hi)
         acc.included += m
-        for j in flags:
-            acc.point((j,), j)
+        acc.resolve([((j,), (j,), j) for j in flags])
     elif d == 2:
         _emit_linf_half_2d(acc)
     else:
@@ -524,27 +538,10 @@ def sum_multidim(specs, N: int, weight: str = "1") -> SumResult:
 def small_dist_indices(spec: IrrationalSpec, N: int) -> list:
     """Sorted n <= N with ||n alpha|| < 1/(2n); each returned index is
     verified (not assumed) to be a multiple of its block's q_k."""
-    if N < 1:
-        raise DiosumError("N must be >= 1")
+    _check_N(N)
     cap = precision_cap()
-    bits = 128
-    a = frac_scaled(spec, bits)
-    modulus = 1 << bits
-    out = []
-    for n in range(1, N + 1):
-        r = (n * a) % modulus
-        mapped = map_variant(r, n, modulus, VARIANT_DIST)
-        decided = None
-        if mapped is not None:
-            d_lo, d_hi = mapped
-            if 2 * n * d_hi < modulus:
-                decided = True
-            elif 2 * n * d_lo >= modulus:
-                decided = False
-        if decided is None:
-            decided = _small_dist_resolve(spec, n, cap)
-        if decided:
-            out.append(n)
+    a = frac_scaled(spec, 128)
+    out = [n for n in range(1, N + 1) if _small_dist(spec, n, a, cap)]
     data = expand_data(spec, locate_block(spec, N) + 1)
     for n in out:
         k = data.block_index(n)
@@ -556,23 +553,24 @@ def small_dist_indices(spec: IrrationalSpec, N: int) -> list:
     return out
 
 
-def _small_dist_resolve(spec, n, cap) -> bool:
-    bits = 256
+def _small_dist(spec, n, a, cap) -> bool:
+    """Whether ||n alpha|| < 1/(2n): tried at 128 bits from a = frac_scaled(spec,
+    128), then exactly from 256 bits up."""
+    bits = 128
     while True:
-        a = frac_scaled(spec, bits)
         modulus = 1 << bits
-        r = (n * a) % modulus
-        mapped = map_variant(r, n, modulus, VARIANT_DIST)
+        mapped = map_variant((n * a) % modulus, n, modulus, VARIANT_DIST)
         if mapped is not None:
             d_lo, d_hi = mapped
             if 2 * n * d_hi < modulus:
                 return True
             if 2 * n * d_lo >= modulus:
                 return False
-        if bits >= cap:
+        if bits >= max(cap, 256):
             raise PrecisionExhausted(
                 f"||{n} alpha|| vs 1/(2n) not separated below {cap} bits",
                 index=n,
                 bits=cap,
             )
-        bits = min(2 * bits, cap)
+        bits = max(256, min(2 * bits, cap))
+        a = frac_scaled(spec, bits)

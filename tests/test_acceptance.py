@@ -11,12 +11,11 @@ import math
 import random
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 
-from diosum import counting, kernel, predict, reals, sums
+from diosum import counting, predict, reals, sums
 from diosum.cf import IrrationalSpec, expand_data
 from exact_surd import Surd
 
@@ -174,12 +173,9 @@ def _mc_ratios(samples=200, N=10**6):
             sums.sum_harmonic_dist(spec, N).value / denom2,
         )
 
-    seeds = range(1, samples + 1)
-    if kernel.backend() == "c":
-        with ThreadPoolExecutor() as pool:
-            pairs = list(pool.map(one, seeds))
-    else:
-        pairs = [one(s) for s in seeds]
+    # serial, as `diosum mc` runs: each sum spreads its blocks over the
+    # worker threads, so an outer pool would multiply them
+    pairs = [one(s) for s in range(1, samples + 1)]
     return [p[0] for p in pairs], [p[1] for p in pairs]
 
 

@@ -297,3 +297,49 @@ def test_sum_rejects_weight_the_family_does_not_take():
     proc = run_cli("sum", "--family", "multidim", "--alpha", "cbrt2,cbrt4",
                    "--N", "4", "--weight", "1/n", check=False)
     assert proc.returncode == 2 and "takes --weight 1 or linf" in proc.stderr
+
+
+def test_c_zero_is_rejected_not_replaced():
+    # --c 0 used to be read as "no --c" and run with c = 1/2
+    for args in (("sum", "--family", "dist", "--alpha", "phi", "--N", "100"),
+                 ("compare", "--theorem", "thm2.1", "--alpha", "phi", "--N", "100"),
+                 ("mc", "--samples", "2", "--stat", "sums", "--N", "100")):
+        proc = run_cli(*args, "--c", "0", check=False)
+        assert proc.returncode == 2, (args, proc.stderr)
+        assert "c must be a positive rational" in proc.stderr, proc.stderr
+        assert proc.stdout == "" and "skipped seed" not in proc.stderr
+
+
+def test_compare_rejects_weight_the_theorem_does_not_take():
+    for theorem, weight, takes in (("thm3.1", "linf", "1/n or 1"),
+                                   ("thm3.2", "linf", "1 or 1/n"),
+                                   ("thm3.3", "1/n", "1 or linf"),
+                                   ("thm2.1", "1/n", "1"), ("thm2.2", "1", "1/n"),
+                                   ("thm1.1", "1/n", "1")):
+        alpha = "cbrt2,cbrt4" if theorem == "thm3.3" else "phi"
+        proc = run_cli("compare", "--theorem", theorem, "--alpha", alpha, "--N", "100",
+                       "--weight", weight, check=False)
+        assert proc.returncode == 2, (theorem, proc.stderr)
+        assert f"{theorem}" in proc.stderr and f"takes --weight {takes}," in proc.stderr
+        assert proc.stdout == ""
+    proc = run_cli("compare", "--theorem", "thm1.1", "--alpha", "phi", "--N", "100",
+                   "--family", "harmonic", "--weight", "1", check=False)
+    assert proc.returncode == 2 and "takes --weight 1/n," in proc.stderr
+
+
+def test_bad_worker_count_is_a_usage_error():
+    # the values themselves are checked in test_sums; here, the exit code
+    for raw in ("abc", "0"):
+        for args in (("sum", "--family", "dist", "--alpha", "phi", "--N", "40000"),
+                     ("mc", "--samples", "1", "--stat", "sums", "--N", "40000")):
+            proc = run_cli(*args, env_extra={"DIOSUM_WORKERS": raw}, check=False)
+            assert proc.returncode == 2, (raw, args, proc.stderr)
+            assert "DIOSUM_WORKERS" in proc.stderr and "Traceback" not in proc.stderr
+            assert proc.stdout == ""
+
+
+def test_exclude_min_rejects_N_zero():
+    # used to search an empty range up to the cap and report a tie among []
+    proc = run_cli("sum", "--family", "shifted", "--alpha", "phi", "--beta", "1/3",
+                   "--mode", "exclude-min", "--N", "0", check=False)
+    assert proc.returncode == 2 and "N must be >= 1" in proc.stderr, proc.stderr

@@ -1,9 +1,10 @@
 import math
+import os
 from fractions import Fraction
 
 import pytest
 
-from diosum import reals, sums
+from diosum import kernel, reals, sums
 from diosum.cf import IrrationalSpec
 from diosum.errors import DiosumError, PrecisionExhausted, RationalDependence
 from exact_surd import Surd
@@ -162,14 +163,18 @@ def test_multidim_d1_matches_symmetric_double(phi):
     assert full.terms_included == 6
 
 
+def _term_bounds(specs, vector, wd=1):
+    """Certified (lo, hi) of 1 / (wd * ||vector . alpha||) from the exact resolver."""
+    return sums._resolve_terms(specs, [(vector, vector, wd)], Fraction(0), 0, None)[0]
+
+
 def test_multidim_d2_example():
     r = sums.sum_multidim((CBRT2, CBRT4), 1, "1")
     assert r.terms_included == 8
     # brute oracle over all 8 lattice points via the ball engine
     total = 0.0
     for v1, v2 in [(0, 1), (0, -1), (1, 0), (-1, 0), (1, 1), (-1, -1), (1, -1), (-1, 1)]:
-        entries = [(s, c) for s, c in zip((CBRT2, CBRT4), (v1, v2)) if c]
-        lo, hi = sums._resolve_term(entries, Fraction(0), 0, 1, None, "oracle")
+        lo, hi = _term_bounds((CBRT2, CBRT4), (v1, v2))
         total += (lo + hi) / 2
     assert abs(r.value - total) < 1e-6
     assert abs(r.value - 31.7487) < 1e-2
@@ -185,8 +190,7 @@ def test_multidim_half_lattice_equals_full_brute():
             for v2 in range(-N, N + 1):
                 if (v1, v2) == (0, 0):
                     continue
-                entries = [(s, c) for s, c in zip((CBRT2, CBRT4), (v1, v2)) if c]
-                lo, hi = sums._resolve_term(entries, Fraction(0), 0, 1, None, "o")
+                lo, hi = _term_bounds((CBRT2, CBRT4), (v1, v2))
                 lo_total += lo
                 hi_total += hi
         assert float(r.enclosure.lo) <= hi_total and lo_total <= float(r.enclosure.hi)
@@ -197,14 +201,8 @@ def test_multidim_half_lattice_equals_full_brute():
         for v in [(1, 2), (2, -1), (0, 1), (1, 0)]:
             if max(abs(v[0]), abs(v[1])) > N:
                 continue
-            plus = sums._resolve_term(
-                [(s, c) for s, c in zip((CBRT2, CBRT4), v) if c],
-                Fraction(0), 0, 1, None, "o",
-            )
-            minus = sums._resolve_term(
-                [(s, -c) for s, c in zip((CBRT2, CBRT4), v) if c],
-                Fraction(0), 0, 1, None, "o",
-            )
+            plus = _term_bounds((CBRT2, CBRT4), v)
+            minus = _term_bounds((CBRT2, CBRT4), (-v[0], -v[1]))
             assert plus == minus
 
 
@@ -220,8 +218,7 @@ def test_multidim_linf_weight():
             if (v1, v2) == (0, 0):
                 continue
             wd = max(abs(v1), abs(v2)) ** 2
-            entries = [(s, c) for s, c in zip((CBRT2, CBRT4), (v1, v2)) if c]
-            lo, hi = sums._resolve_term(entries, Fraction(0), 0, wd, None, "o")
+            lo, hi = _term_bounds((CBRT2, CBRT4), (v1, v2), wd)
             total += (lo + hi) / 2
     assert abs(r.value - total) < 1e-6
 
@@ -282,3 +279,108 @@ def test_precision_exhaustion_reports_index(monkeypatch, phi):
     monkeypatch.setenv("DIOSUM_MAX_PRECISION_BITS", "512")
     with pytest.raises(PrecisionExhausted):
         sums.sum_shifted(phi, beta, 6, "full", "1")
+
+
+# ---------------------------------------------------------------------------
+# Batched exact resolution and the kernel-driven argmin
+
+# a_3 = 10^40 after q_2 = 3: the 128-bit kernel flags every multiple of 3
+HUGE = IrrationalSpec.parse(f"digits:0,1,2,{10**40},1,3,2,2,1,3,1*200")
+# alpha just below 1/3: with beta = 1/3 every n = 2 mod 3 sits next to an integer
+THIRD = IrrationalSpec.parse(f"digits:0,3,{10**40},2,1*200")
+BIG_DIGITS = IrrationalSpec.parse("digits:0,1*10,10000,1*300")
+
+
+def _brute_argmins(spec, beta, variant, N):
+    """{prefix length: certified argmin} from one ball per index."""
+    best, best_ball, out = None, None, {}
+    for n in range(1, N + 1):
+        if variant == "dist":
+            ball = reals.dist_nearest(spec, n, beta)
+        else:
+            frac, comp = reals.frac_part(spec, n, beta)
+            ball = frac if variant == "frac" else comp
+        if best is None or ball.hi < best_ball.lo:
+            best, best_ball = n, ball
+        else:
+            assert ball.lo > best_ball.hi, (n, best)  # separated, so certified
+        out[n] = best
+    return out
+
+
+@pytest.mark.parametrize("alpha", ["phi", "e", "uniform:271828", "digits:0,1*10,10000,1*300"])
+def test_argmin_matches_brute_force(monkeypatch, alpha):
+    # with a nonzero beta the big-digit spec has no value below 4/N at
+    # N = 2000, so the candidate threshold has to grow
+    spec = IrrationalSpec.parse(alpha)
+    Ns = (1, 2, 13, 89, 400, 2000)
+    for beta in (Fraction(0), Fraction(1, 3), Fraction(-2, 7), Fraction(7, 5)):
+        for variant in ("dist", "frac", "complement"):
+            brute = _brute_argmins(spec, beta, variant, max(Ns))
+            for backend in kernel.available_backends():
+                monkeypatch.setenv("DIOSUM_KERNEL", backend)
+                for N in Ns:
+                    assert sums._argmin_variant(spec, beta, N, variant) == brute[N]
+                if variant == "dist":
+                    assert sums.find_min_index(spec, beta, max(Ns)) == brute[max(Ns)]
+                res = sums.sum_shifted(spec, beta, max(Ns), "exclude_min", "1", variant)
+                assert res.excluded_index == brute[max(Ns)]
+
+
+# exact (mid, rad, terms) recorded before the batched resolver replaced the
+# one-term-at-a-time one; thousands of terms go through it in each
+PINNED = [
+    (lambda: sums.sum_harmonic_dist(HUGE, 12000),  # 4000 resolved
+     "16446840980956220445507713281959636500480", "298700182584562961857227259904",
+     12000),
+    (lambda: sums.sum_dist(HUGE, 12000, Fraction(1, 2)),  # 4000 cut off
+     "13194139533312001/549755813888", "239627/549755813888", 8000),
+    (lambda: sums.sum_shifted(THIRD, Fraction(1, 3), 6000, "full", "1", "frac"),
+     "11000", "99087/549755813888", 6000),
+    (lambda: sums.sum_shifted(THIRD, Fraction(1, 3), 6000, "full", "1/n", "complement"),
+     "30633754510323261748033327474023092715520", "501938746749076345562956038144",
+     6000),
+    (lambda: sums.sum_frac(HUGE, 6000, Fraction(1, 3), "frac", "1"),
+     "9000", "81071/549755813888", 4000),
+    (lambda: sums.sum_multidim((HUGE,), 3000, "1"),  # 1000 resolved, from segments
+     "449128251633020740191538212855157618638848", "6960163128377139923085963558912",
+     6000),
+    (lambda: sums.sum_multidim((HUGE, CBRT2), 40, "linf"),
+     "7995447802096253184970677317159144652800", "116896477664726760733626335232",
+     6560),
+]
+
+
+@pytest.mark.parametrize("case", range(len(PINNED)))
+def test_flagged_term_enclosures_pinned(case):
+    fn, mid, rad, terms = PINNED[case]
+    res = fn()
+    assert (res.enclosure.mid, res.enclosure.rad) == (Fraction(mid), Fraction(rad))
+    assert res.terms_included == terms
+
+
+def test_resolver_and_argmin_raise_at_the_cap(monkeypatch):
+    # ||3 alpha|| is about 2**-334 here: 256 bits cannot separate it from 0
+    deep = IrrationalSpec.parse(f"digits:0,1,2,{10**100},1*200")
+    monkeypatch.setenv("DIOSUM_MAX_PRECISION_BITS", "256")
+    with pytest.raises(PrecisionExhausted, match="n=3:"):
+        sums.sum_harmonic_dist(deep, 30)
+    with pytest.raises(RationalDependence, match=r"n=\(3,\):"):
+        sums.sum_multidim((deep,), 30, "1")
+    monkeypatch.setenv("DIOSUM_MAX_PRECISION_BITS", "128")
+    with pytest.raises(PrecisionExhausted, match="argmin tie"):
+        sums.find_min_index(HUGE, 0, 100)
+    monkeypatch.delenv("DIOSUM_MAX_PRECISION_BITS")
+    assert sums.sum_harmonic_dist(deep, 30).terms_included == 30
+    assert sums.find_min_index(HUGE, 0, 100) == 3
+
+
+def test_workers_bounded_and_validated(monkeypatch):
+    monkeypatch.setenv("DIOSUM_WORKERS", "100000")
+    assert sums._workers() == (os.cpu_count() or 1)
+    monkeypatch.setenv("DIOSUM_WORKERS", "1")
+    assert sums._workers() == 1
+    for raw in ("abc", "0", "-3", "2.5"):
+        monkeypatch.setenv("DIOSUM_WORKERS", raw)
+        with pytest.raises(DiosumError, match="DIOSUM_WORKERS"):
+            sums._workers()

@@ -347,15 +347,11 @@ def cmd_compare(args, writer) -> int:
 def _shift_hypothesis_evidence(spec, beta, N) -> float:
     """Finite-range min of (n log log n) ||n alpha + beta||: evidence only,
     never an assertion of the infinite hypothesis."""
-    from .reals import dist_nearest
+    from .reals import DEFAULT_START_BITS, VARIANT_DIST, _refine_many
 
-    best = None
-    for n in range(1, N + 1):
-        ball = dist_nearest(spec, n, beta, rel_bits=20)
-        val = n * clog(clog(n)) * float(ball.hi)
-        if best is None or val < best:
-            best = val
-    return best
+    ns = range(1, N + 1)
+    boxes = _refine_many(spec, ns, beta, VARIANT_DIST, 20, DEFAULT_START_BITS)
+    return min(n * clog(clog(n)) * (d_hi / (1 << bits)) for n, (_, d_hi, bits) in zip(ns, boxes))
 
 
 def cmd_mc(args, writer) -> int:

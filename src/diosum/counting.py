@@ -1,10 +1,13 @@
 """Counting functions and discrepancy quantities.
 
-count_dist_le is the certified brute-force count; count_fast computes the
-same number by a Euclidean descent on floor sums: #{n <= N : {n y + z} <= t}
-is a difference of two sums G(N, y, z) = sum_{n<=N} floor(n y + z), and G
-satisfies an exact recursion that replaces y by a unimodular image of itself
-with N shrinking geometrically.  That is O(log N) levels, each doing a few
+count_dist_le is the certified brute-force count: a kernel count pass at 128
+bits, then a single reals.resolve_forms call for all the memberships it
+flags (as in count_multidim and the local discrepancy scans).  count_fast
+computes the same number by a Euclidean descent on floor sums:
+#{n <= N : {n y + z} <= t} is a difference of two sums
+G(N, y, z) = sum_{n<=N} floor(n y + z), and G satisfies an exact recursion
+that replaces y by a unimodular image of itself with N shrinking
+geometrically.  That is O(log N) levels, each doing a few
 operations on integers of O(log N) bits, so the cost grows about
 quadratically in the number of digits of N.  The state keeps y as an integer
 Moebius transform of alpha and z = (U + V y) / D with integers U, V, D, so
@@ -14,7 +17,8 @@ edge case, which alpha's irrationality makes decidable).
 
 Discrepancy is computed by the standard finite reduction over intervals
 with endpoints at the sample points; local discrepancy extrema are exact
-integer scans.
+integer scans.  numpy is imported by the functions that use it, so that
+importing this module (and the CLI) does not load it.
 """
 
 from __future__ import annotations
@@ -22,19 +26,20 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from . import kernel
 from .cf import ContinuedFractionData, IrrationalSpec, expand_data, locate_block
 from .errors import DiosumError, PrecisionExhausted
 from .reals import (
+    OPEN,
     VARIANT_DIST,
+    VARIANT_FRAC,
     BallReal,
     beta_scaled,
     frac_scaled,
-    map_variant,
     precision_cap,
+    resolve_forms,
 )
+from .sums import half_lattice
 
 __all__ = [
     "count_dist_le",
@@ -57,40 +62,22 @@ CHUNK = 1 << 14
 # Certified brute-force count
 
 
-def _threshold_band(t: Fraction, bits: int):
-    num = t.numerator << bits
-    lo, rem = divmod(num, t.denominator)
-    return lo, lo + (0 if rem == 0 else 1)
+def _resolve_members(specs, forms, beta, variant, t):
+    """Exact decisions of `variant value <= t`, one per form: the value of
+    sum(c_i * alpha_i) + beta for the coefficient tuples in `forms`."""
+    t_num, t_den = t.numerator, t.denominator
 
+    def decide(i, d_lo, d_hi, bits):
+        scaled_t = t_num << bits
+        if d_hi * t_den <= scaled_t:
+            return True
+        return False if d_lo * t_den >= scaled_t else OPEN
 
-def _resolve_member(entries, beta, variant, t):
-    """Exact decision of `variant value <= t` for sum(coef*alpha) + beta."""
-    cap = precision_cap()
-    bits = 256
-    while True:
-        modulus = 1 << bits
-        r = 0
-        w = 0
-        for spec, coef in entries:
-            a = frac_scaled(spec, bits)
-            r += coef * a
-            if coef < 0:
-                r += coef
-            w += abs(coef)
-        b, wb = beta_scaled(beta, bits)
-        r = (r + b) % modulus
-        mapped = map_variant(r, w + wb, modulus, variant)
-        if mapped is not None:
-            d_lo, d_hi = mapped
-            if Fraction(d_hi, modulus) <= t:
-                return True
-            if Fraction(d_lo, modulus) >= t:
-                return False
-        if bits >= cap:
-            raise PrecisionExhausted(
-                f"membership vs t={t} not separated below {cap} bits", bits=cap
-            )
-        bits = min(2 * bits, cap)
+    def fail(i, box):
+        cap = precision_cap()
+        return PrecisionExhausted(f"membership vs t={t} not separated below {cap} bits", bits=cap)
+
+    return resolve_forms(specs, forms, beta, variant, decide, fail, 256)
 
 
 def count_dist_le(spec: IrrationalSpec, N: int, t, variant: str = "dist",
@@ -109,16 +96,15 @@ def count_dist_le(spec: IrrationalSpec, N: int, t, variant: str = "dist",
     a = frac_scaled(spec, bits)
     b, wb = beta_scaled(beta, bits)
     b %= 1 << bits
-    t_lo, t_hi = _threshold_band(t, bits)
+    t_lo, tw = beta_scaled(t, bits)
     total = 0
+    flagged = []
     for n0 in range(1, N + 1, CHUNK):
         n1 = min(n0 + CHUNK - 1, N)
-        cnt, flags = kernel.count_block(a, 1, b, wb, n0, n1, vid, t_lo, t_hi, bits)
+        cnt, flags = kernel.count_block(a, 1, b, wb, n0, n1, vid, t_lo, t_lo + tw, bits)
         total += cnt
-        for n in flags:
-            if _resolve_member([(spec, n)], beta, vid, t):
-                total += 1
-    return total
+        flagged += flags
+    return total + sum(_resolve_members((spec,), [(n,) for n in flagged], beta, vid, t))
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +325,8 @@ def pigeonhole_bound(spec: IrrationalSpec, N: int, t) -> Fraction:
 
 def _sample_points(spec: IrrationalSpec, N: int, bits: int = 128):
     """Floats x_n ~ {n alpha} with |error| <= 2**-52 each, plus that bound."""
+    import numpy as np
+
     a = frac_scaled(spec, bits)
     modulus = 1 << bits
     scale = math.ldexp(1.0, -bits)
@@ -350,7 +338,7 @@ def _sample_points(spec: IrrationalSpec, N: int, bits: int = 128):
     return xs, math.ldexp(1.0, -52)
 
 
-def _disc_from_sorted(xs: np.ndarray, N: int):
+def _disc_from_sorted(xs, N: int):
     """D_N from sorted sample floats.
 
     Overfull deviation sup over closed [x_i, x_j]:  max(u_j - min_{i<=j} u_i) + 1
@@ -358,6 +346,8 @@ def _disc_from_sorted(xs: np.ndarray, N: int):
     boundary gaps: max over i < j of (v_j - v_i) + 1 on v extended by
     v_0 = 0 (left boundary) and v_{N+1} = -1 (right boundary), v = -u.
     """
+    import numpy as np
+
     idx = np.arange(1, N + 1, dtype=np.float64)
     u = idx - N * xs
     e_plus = float(np.max(u - np.minimum.accumulate(u))) + 1.0
@@ -374,6 +364,8 @@ def discrepancy(spec: IrrationalSpec, N: int) -> BallReal:
     the sample points (closed and open limits both realized by the two
     scans); the float evaluation carries a rigorous error slack.
     """
+    import numpy as np
+
     if N < 1:
         raise DiosumError("N must be >= 1")
     xs, point_err = _sample_points(spec, N)
@@ -392,6 +384,8 @@ def discrepancy(spec: IrrationalSpec, N: int) -> BallReal:
 
 def discrepancy_profile(spec: IrrationalSpec, N_max: int):
     """(D_N, slack_N) floats for every N <= N_max, one incremental pass."""
+    import numpy as np
+
     if N_max < 1:
         raise DiosumError("N_max must be >= 1")
     all_x, point_err = _sample_points(spec, N_max)
@@ -415,18 +409,22 @@ def _indicator_ints(spec: IrrationalSpec, Q: int, t: Fraction):
     bits = 128
     a = frac_scaled(spec, bits)
     modulus = 1 << bits
-    t_lo, t_hi = _threshold_band(t, bits)
+    t_lo, tw = beta_scaled(t, bits)
     ind = []
+    open_ns = []
     r = 0
     for n in range(1, Q):
         r = (r + a) % modulus
-        lo, hi = r, r + n
-        if hi <= t_lo:
+        if r + n <= t_lo:
             ind.append(1)
-        elif lo >= t_hi:
+        elif r >= t_lo + tw:
             ind.append(0)
         else:
-            ind.append(1 if _resolve_member([(spec, n)], Fraction(0), 1, t) else 0)
+            ind.append(None)
+            open_ns.append(n)
+    members = _resolve_members((spec,), [(n,) for n in open_ns], 0, VARIANT_FRAC, t)
+    for n, member in zip(open_ns, members):
+        ind[n - 1] = int(member)
     return ind
 
 
@@ -460,21 +458,26 @@ def local_disc_extrema_batch(spec: IrrationalSpec, K_max: int, ts):
     Returns {(K, t): (max, min)}.  Floats drive the scan; any sample closer
     than 2**-40 to a threshold is resolved exactly.
     """
+    import numpy as np
+
+    ts = [Fraction(t) for t in ts]
+    if not all(0 < t < 1 for t in ts):
+        raise DiosumError("t must be in (0, 1)")
+    if K_max < 1:
+        raise DiosumError("K must be >= 1")
     data = expand_data(spec, K_max + 1)
     Q = data.q[K_max + 1]
     xs, point_err = _sample_points(spec, Q - 1)
     out = {}
     for t in ts:
-        t = Fraction(t)
         if t.denominator * Q >= (1 << 62):  # int64 scan would overflow
             for k in range(1, K_max + 1):
                 out[(k, t)] = local_disc_extrema(spec, k, t)
             continue
         tf = float(t)
-        near = np.abs(xs - tf) <= 2**-40
         ind = (xs <= tf).astype(np.int64)
-        for i in np.nonzero(near)[0]:
-            ind[i] = 1 if _resolve_member([(spec, int(i) + 1)], Fraction(0), 1, t) else 0
+        near = np.nonzero(np.abs(xs - tf) <= 2**-40)[0]
+        ind[near] = _resolve_members((spec,), [(int(i) + 1,) for i in near], 0, VARIANT_FRAC, t)
         cnt = np.cumsum(ind)
         ns = np.arange(1, Q, dtype=np.int64)
         vals = cnt * t.denominator - t.numerator * ns  # exact in int64 range
@@ -534,52 +537,14 @@ def count_multidim(specs, N: int, t) -> int:
     if not (0 < t <= Fraction(1, 2)):
         raise DiosumError("t must be in (0, 1/2]")
     bits = 128
-    modulus = 1 << bits
-    A = [frac_scaled(s, bits) for s in specs]
-    Aneg = [modulus - a - 1 for a in A]
-    t_lo, t_hi = _threshold_band(t, bits)
+    t_lo, tw = beta_scaled(t, bits)
     total = 0
-
-    def prefix_base(prefix):
-        r = 0
-        w = 0
-        for a, aneg, coef in zip(A, Aneg, prefix):
-            r += coef * a if coef >= 0 else (-coef) * aneg
-            w += abs(coef)
-        return r % modulus, w
-
-    def segment(mult, base, bw, j0, j1, vec_fn):
-        nonlocal total
-        if j1 < j0:
-            return
+    flagged = []
+    for mult, base, bw, vec_fn in half_lattice([frac_scaled(s, bits) for s in specs], N,
+                                                1 << bits):
         cnt, flags = kernel.count_block(
-            mult, 1, base % modulus, bw, j0, j1, VARIANT_DIST, t_lo, t_hi, bits
-        )
+            mult, 1, base, bw, 1, N, VARIANT_DIST, t_lo, t_lo + tw, bits)
         total += cnt
-        for j in flags:
-            vec = vec_fn(j)
-            entries = [(s, c) for s, c in zip(specs, vec) if c != 0]
-            if _resolve_member(entries, Fraction(0), VARIANT_DIST, t):
-                total += 1
-
-    def emit(dim, pad):
-        def rec(prefix, started):
-            if len(prefix) == dim - 1:
-                pfx = tuple(prefix)
-                base, bw = prefix_base(prefix)
-                if started:
-                    segment(Aneg[dim - 1], base, bw, 1, N,
-                            lambda j, p=pfx: p + (-j,) + pad)
-                segment(A[dim - 1], base, bw, 1, N,
-                        lambda j, p=pfx: p + (j,) + pad)
-                return
-            lo = -N if started else 0
-            for coef in range(lo, N + 1):
-                rec(prefix + [coef], started or coef != 0)
-
-        rec([], False)
-        if dim > 1:
-            emit(dim - 1, (0,) + pad)
-
-    emit(d, ())
+        flagged += map(vec_fn, flags)
+    total += sum(_resolve_members(specs, flagged, 0, VARIANT_DIST, t))
     return 2 * total

@@ -4,9 +4,10 @@ Everything is driven by one primitive: a certified integer A with
 frac(alpha) * 2**bits strictly inside (A, A+1).  From it, n*alpha + beta mod 1
 lives in an exact integer interval [r, r+w] / 2**bits, and the fractional-part,
 complement and distance-to-nearest maps are exact integer transformations of
-that interval.  Precision escalates by doubling until a decision is certified
-or the cap is hit, in which case PrecisionExhausted is raised (never silently
-classified).
+that interval.  resolve_forms applies this to whole batches of linear forms
+sum(c_i alpha_i) + beta.  Precision escalates by doubling until a decision is
+certified or the cap is hit, in which case PrecisionExhausted (or, for
+resolve_forms, the caller's error) is raised: never a silent guess.
 """
 
 from __future__ import annotations
@@ -188,32 +189,82 @@ def map_variant(r: int, w: int, modulus: int, variant: int):
     return min(r, modulus - top), half
 
 
-def _point_interval(spec, n: int, beta: Fraction, bits: int):
-    """[r, r+w]/2**bits enclosing {n*alpha + beta}, exact integers."""
-    a = frac_scaled(spec, bits)
-    b, wb = beta_scaled(beta, bits)
-    modulus = 1 << bits
-    r = (n * a + b) % modulus
-    w = n + wb
-    return r, w, modulus
+OPEN = object()  # a decide() verdict: not separated at this precision
 
 
-def _refine(spec, n, beta, variant, start_bits, rel_bits, cap):
+def form_interval(form, scaled):
+    """(r, w) with sum(c * alpha_i) * 2**bits in [r, r + w], exact, from
+    scaled[i] = frac_scaled(alpha_i, bits): c * alpha_i * 2**bits lies in
+    [c*a, c*a + c] for c >= 0 and in [c*(a+1), c*a] otherwise.
+    resolve_forms repeats these lines inline: it runs them once per form and
+    level, and the call would cost it a few percent."""
+    r = w = 0
+    for c, a in zip(form, scaled):
+        r += c * a if c >= 0 else c * (a + 1)
+        w += abs(c)
+    return r, w
+
+
+def resolve_forms(specs, forms, beta, variant, decide, fail, start_bits):
+    """One certified verdict per linear form, by precision doubling.
+
+    A form is a tuple of integer coefficients c_i and stands for the variant
+    value of x = sum(c_i * alpha_i) + beta, alpha_i = specs[i].  Every form is
+    tried at start_bits, those still open at twice that, and so on up to the
+    cap.  At each level the image of x's circle interval is passed on as
+    decide(i, d_lo, d_hi, bits), exact integers in units of 2**-bits; it
+    returns the verdict for form i or OPEN.  A wrapped interval, whose image
+    is not representable, stays open without a call.  If forms are still
+    open at the cap, the exception fail(i, box) returns for the first of
+    them is raised, box being its last image or None.
+    """
+    out = [None] * len(forms)
+    pending = range(len(forms))
+    cap = precision_cap()
     bits = start_bits
-    while True:
-        r, w, modulus = _point_interval(spec, n, beta, bits)
-        mapped = map_variant(r, w, modulus, variant)
-        if mapped is not None:
-            d_lo, d_hi = mapped
-            if d_lo > 0 and (d_hi - d_lo) <= max(1, d_lo >> rel_bits):
-                return d_lo, d_hi, bits
-        if bits >= cap:
-            raise PrecisionExhausted(
-                f"cannot certify variant {variant} at n={n} below {cap} bits",
-                index=n,
-                bits=cap,
-            )
+    while pending:
+        modulus = 1 << bits
+        scaled = [frac_scaled(s, bits) for s in specs]
+        b, wb = beta_scaled(beta, bits)
+        still_open = []
+        for i in pending:
+            r, w = b, wb  # form_interval, inline
+            for c, a in zip(forms[i], scaled):
+                r += c * a if c >= 0 else c * (a + 1)
+                w += abs(c)
+            box = map_variant(r % modulus, w, modulus, variant)
+            if box is not None:
+                verdict = decide(i, box[0], box[1], bits)
+                if verdict is not OPEN:
+                    out[i] = verdict
+                    continue
+            still_open.append((i, box))
+        if still_open and bits >= cap:
+            raise fail(*still_open[0])
+        pending = [i for i, _ in still_open]
         bits = min(2 * bits, cap)
+    return out
+
+
+def _refine_many(spec, ns, beta, variant, rel_bits, start_bits):
+    """(d_lo, d_hi, bits) per n: the variant value of n*alpha + beta lies in
+    [d_lo, d_hi] / 2**bits, with d_lo > 0 and a relative width of at most
+    2**-rel_bits (or one unit)."""
+
+    def decide(i, d_lo, d_hi, bits):
+        if d_lo > 0 and d_hi - d_lo <= max(1, d_lo >> rel_bits):
+            return d_lo, d_hi, bits
+        return OPEN
+
+    def fail(i, box):
+        cap = precision_cap()
+        return PrecisionExhausted(
+            f"cannot certify variant {variant} at n={ns[i]} below {cap} bits",
+            index=ns[i],
+            bits=cap,
+        )
+
+    return resolve_forms((spec,), [(n,) for n in ns], beta, variant, decide, fail, start_bits)
 
 
 def dist_nearest(
@@ -226,10 +277,7 @@ def dist_nearest(
     """Certified enclosure of ||n*alpha + beta||, beta rational."""
     if n < 1:
         raise DiosumError("n must be >= 1")
-    cap = precision_cap()
-    d_lo, d_hi, bits = _refine(
-        spec, n, Fraction(beta), VARIANT_DIST, start_bits, rel_bits, cap
-    )
+    d_lo, d_hi, bits = _refine_many(spec, [n], beta, VARIANT_DIST, rel_bits, start_bits)[0]
     modulus = 1 << bits
     return BallReal.from_endpoints(
         Fraction(d_lo, modulus), Fraction(d_hi, modulus), bits
@@ -246,9 +294,7 @@ def frac_part(
     """Balls for {n*alpha + beta} and its complement 1 - {n*alpha + beta}."""
     if n < 1:
         raise DiosumError("n must be >= 1")
-    cap = precision_cap()
-    beta = Fraction(beta)
-    d_lo, d_hi, bits = _refine(spec, n, beta, VARIANT_FRAC, start_bits, rel_bits, cap)
+    d_lo, d_hi, bits = _refine_many(spec, [n], beta, VARIANT_FRAC, rel_bits, start_bits)[0]
     modulus = 1 << bits
     frac = BallReal.from_endpoints(Fraction(d_lo, modulus), Fraction(d_hi, modulus), bits)
     comp = BallReal.from_endpoints(

@@ -5,16 +5,18 @@ kernel at 128 working bits, block subtotals are combined by a fixed
 balanced reduction over chunks of 2**14 indices (deterministic and
 independent of worker count), and a final outward guard turns the
 directed double bounds into an exact dyadic enclosure.  The terms the
-kernel cannot certify are resolved exactly in one batch per call: all of
-them at 256 bits, the ones still open at 512, and so on up to the cap.
+kernel cannot certify go to reals.resolve_forms in one batch per call: all
+of them at 256 bits, the ones still open at 512, and so on up to the cap.
 
-The exclude-min argmin refines only the indices that a kernel count pass
-flags as possibly below a small threshold; every other index is certainly
-above it.
+The exclude-min argmin and small_dist_indices refine only the indices that
+a kernel count pass flags as possibly below a small threshold; every other
+index is certainly above it.  half_lattice walks the half lattice for the
+multidimensional sums here and for counting.count_multidim.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -25,14 +27,17 @@ from . import kernel
 from .cf import IrrationalSpec, expand_data, locate_block
 from .errors import DiosumError, PrecisionExhausted, RationalDependence
 from .reals import (
+    OPEN,
     VARIANT_COMPLEMENT,
     VARIANT_DIST,
     VARIANT_FRAC,
     BallReal,
     beta_scaled,
+    form_interval,
     frac_scaled,
     map_variant,
     precision_cap,
+    resolve_forms,
 )
 
 __all__ = [
@@ -103,7 +108,7 @@ def _pairwise(values):
     values = list(values) or [0.0]
     while len(values) > 1:
         odd = values[-1:] if len(values) % 2 else []
-        values = [values[i] + values[i + 1] for i in range(0, len(values) - 1, 2)] + odd
+        values = [a + b for a, b in zip(values[::2], values[1::2])] + odd
     return values[0]
 
 
@@ -139,47 +144,33 @@ def _resolve_terms(specs, terms, beta, variant, cutoff, dependence_suspect=False
     stays next to an integer.  The bounds are the directed roundings of the
     exact quotients, whatever the level that decides them.
     """
-    out = [None] * len(terms)
-    pending = [(i, False) for i in range(len(terms))]
-    cap = precision_cap()
-    bits = 256
-    while pending:
-        modulus = 1 << bits
-        scaled = [frac_scaled(s, bits) for s in specs]
-        b, wb = beta_scaled(beta, bits)
+    if cutoff is not None:
+        cut_num, cut_den = cutoff.numerator, cutoff.denominator
+
+    def decide(i, d_lo, d_hi, bits):
+        if d_lo == 0:
+            return OPEN
         if cutoff is not None:
-            cut_num, cut_den = cutoff.numerator << bits, cutoff.denominator
-        still_open = []  # (index, whether x may be an integer)
-        for i, _ in pending:
-            _, coefs, wd = terms[i]
-            # c * alpha * 2**bits lies in [c*a, c*a + c] if c >= 0, else [c*(a+1), c*a]
-            r, w = b, wb
-            for c, a in zip(coefs, scaled):
-                r += c * a if c >= 0 else c * (a + 1)
-                w += abs(c)
-            mapped = map_variant(r % modulus, w, modulus, variant)
-            if mapped is None or mapped[0] == 0:
-                still_open.append((i, True))
-                continue
-            d_lo, d_hi = mapped
-            if cutoff is not None and d_hi * cut_den <= cut_num:
-                continue  # certainly below the cutoff: excluded
-            if (cutoff is None or d_lo * cut_den >= cut_num) and (d_hi - d_lo) << 48 <= d_lo:
-                out[i] = (_div_dn(modulus, d_hi * wd), _div_up(modulus, d_lo * wd))
-            else:
-                still_open.append((i, False))
-        if still_open and bits >= cap:
-            i, near_integer = still_open[0]
-            if dependence_suspect and near_integer:
-                raise RationalDependence(
-                    f"n={terms[i][0]}: linear form stays next to an integer at {cap} bits"
-                )
-            raise PrecisionExhausted(
-                f"n={terms[i][0]}: term not certified below {cap} bits", bits=cap
+            cut = cut_num << bits
+            if d_hi * cut_den <= cut:
+                return None  # certainly below the cutoff: excluded
+            if d_lo * cut_den < cut:
+                return OPEN
+        if (d_hi - d_lo) << 48 > d_lo:
+            return OPEN
+        modulus, wd = 1 << bits, terms[i][2]
+        return _div_dn(modulus, d_hi * wd), _div_up(modulus, d_lo * wd)
+
+    def fail(i, box):
+        cap = precision_cap()
+        if dependence_suspect and (box is None or box[0] == 0):
+            return RationalDependence(
+                f"n={terms[i][0]}: linear form stays next to an integer at {cap} bits"
             )
-        pending = still_open
-        bits = min(2 * bits, cap)
-    return out
+        return PrecisionExhausted(f"n={terms[i][0]}: term not certified below {cap} bits", bits=cap)
+
+    forms = [coefs for _, coefs, _ in terms]
+    return resolve_forms(specs, forms, beta, variant, decide, fail, 256)
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +183,9 @@ def _sum_range(spec, beta, N, variant, weight, cutoff, exclude, bits):
     modulus = 1 << bits
     b %= modulus
     cut = None
-    if cutoff is not None:  # cutoff * modulus lies in [lo, lo + 1], exact
-        lo, rem = divmod(cutoff.numerator << bits, cutoff.denominator)
-        cut = lo, lo + (0 if rem == 0 else 1)
+    if cutoff is not None:  # cutoff * modulus lies in [lo, lo + w], exact
+        lo, w = beta_scaled(cutoff, bits)
+        cut = lo, lo + w
     if cut is not None and cut[0] >= modulus:
         # cutoff >= 1 excludes every term: the variant values are < 1 strictly
         return BallReal(Fraction(0), Fraction(0), bits), 0
@@ -216,11 +207,10 @@ def _sum_range(spec, beta, N, variant, weight, cutoff, exclude, bits):
     included = sum(r[2] for r in results)
     flagged = sorted(n for r in results for n in r[3])
     terms = [(n, (n,), n if weight else 1) for n in flagged]
-    for resolved in _resolve_terms((spec,), terms, beta, variant, cutoff):
-        if resolved is not None:
-            lo_leaves.append(resolved[0])
-            hi_leaves.append(resolved[1])
-            included += 1
+    kept = [t for t in _resolve_terms((spec,), terms, beta, variant, cutoff) if t is not None]
+    lo_leaves += [lo for lo, _ in kept]
+    hi_leaves += [hi for _, hi in kept]
+    included += len(kept)
     return _assemble(lo_leaves, hi_leaves, included, bits, len(flagged)), included
 
 
@@ -379,109 +369,42 @@ def sum_shifted(spec: IrrationalSpec, beta, N: int, mode: str = "exclude_min",
 # Higher-dimensional sums over [-N, N]^d \ {0}
 
 
-class _LatticeAccumulator:
-    """Collects directed per-segment bounds for half-lattice evaluation."""
+def half_lattice(scaled, N, modulus):
+    """Runs (mult, base, bw, vec_fn) covering {n in [-N, N]^d \\ 0 : first
+    nonzero coordinate > 0}, d = len(scaled), scaled[i] = frac_scaled(alpha_i).
 
-    def __init__(self, specs, N, bits):
-        self.specs = specs
-        self.N = N
-        self.bits = bits
-        self.modulus = 1 << bits
-        self.A = [frac_scaled(s, bits) for s in specs]
-        # scaled floor of 1 - alpha_i, for negative coefficients
-        self.Aneg = [self.modulus - a - 1 for a in self.A]
-        self.lo_leaves = []
-        self.hi_leaves = []
-        self.included = 0
-        self.n_resolved = 0
-
-    def resolve(self, terms):
-        """Exact bounds for flagged (vector, vector, weight_div) terms."""
-        for lo, hi in _resolve_terms(self.specs, terms, Fraction(0), VARIANT_DIST,
-                                     None, dependence_suspect=True):
-            self.lo_leaves.append(lo)
-            self.hi_leaves.append(hi)
-        self.included += len(terms)
-        self.n_resolved += len(terms)
-
-    def segment(self, mult, base, bw, j0, j1, vec_fn, weight_div=1):
-        """Kernel run over dist(base + j*mult) for j in [j0, j1]."""
-        if j1 < j0:
-            return
-        s_lo, s_hi, m, flags = kernel.sum_block(
-            mult, 1, base % self.modulus, bw, j0, j1, VARIANT_DIST, 0, None, 0, self.bits
-        )
-        if weight_div != 1:
-            inv_lo = _div_dn(1, weight_div)
-            inv_hi = _div_up(1, weight_div)
-            s_lo = (s_lo * inv_lo) * _GUARD_DN
-            s_hi = (s_hi * inv_hi) * _GUARD_UP
-        self.lo_leaves.append(s_lo)
-        self.hi_leaves.append(s_hi)
-        self.included += m
-        if flags:
-            self.resolve([(v, v, weight_div) for v in map(vec_fn, flags)])
-
-    def prefix_base(self, prefix):
-        r = 0
-        w = 0
-        for a, aneg, coef in zip(self.A, self.Aneg, prefix):
-            if coef >= 0:
-                r += coef * a
-            else:
-                r += (-coef) * aneg
-            w += abs(coef)
-        return r % self.modulus, w
+    In a run, j = 1..N is the vector vec_fn(j), and n . alpha * modulus lies
+    in [base + j*mult, base + j*mult + bw + j] mod modulus: the first
+    coordinates are a fixed prefix, the last nonzero one is +-j.  Runs come
+    in lexicographic order of the prefix, the longest prefixes first.
+    """
+    d = len(scaled)
+    for dim in range(d, 0, -1):
+        a, origin, pad = scaled[dim - 1], (0,) * (dim - 1), (0,) * (d - dim)
+        for p in itertools.product(range(-N, N + 1), repeat=dim - 1):
+            if p < origin:
+                continue  # first nonzero coordinate negative
+            r, bw = form_interval(p, scaled)
+            base = r % modulus
+            if p != origin:  # the origin prefix takes positive j only
+                yield modulus - a - 1, base, bw, lambda j, p=p, pad=pad: p + (-j,) + pad
+            yield a, base, bw, lambda j, p=p, pad=pad: p + (j,) + pad
 
 
-def _emit_unit_half(acc: _LatticeAccumulator, dim: int, pad):
-    """Segments covering {n in [-N,N]^dim \\ 0, first nonzero coord > 0},
-    embedded in the first `dim` coordinates (remaining coords zero)."""
-    N = acc.N
-
-    def rec(prefix, started):
-        if len(prefix) == dim - 1:
-            pfx = tuple(prefix)
-            base, bw = acc.prefix_base(prefix)
-            if started:
-                acc.segment(
-                    acc.Aneg[dim - 1], base, bw, 1, N,
-                    lambda j, p=pfx: p + (-j,) + pad,
-                )
-            # an all-zero prefix contributes positives only (first nonzero > 0)
-            acc.segment(
-                acc.A[dim - 1], base, bw, 1, N,
-                lambda j, p=pfx: p + (j,) + pad,
-            )
-            return
-        lo = -N if started else 0
-        for coef in range(lo, N + 1):
-            rec(prefix + [coef], started or coef != 0)
-
-    rec([], False)
-    if dim > 1:
-        # vectors whose last coordinate is zero: the (dim-1)-dimensional half lattice
-        _emit_unit_half(acc, dim - 1, (0,) + pad)
-
-
-def _emit_linf_half_2d(acc: _LatticeAccumulator):
-    """Half shells ||n||_inf = ell for d = 2, with weight divisor ell**2."""
-    N = acc.N
-    a1, a2 = acc.A
-    neg2 = acc.Aneg[1]
-    modulus = acc.modulus
+def _linf_half_2d(a1, a2, N, modulus):
+    """Runs (mult, base, bw, j0, j1, vec_fn, weight_div) covering the half
+    shells ||n||_inf = ell <= N for d = 2, with weight divisor ell**2."""
+    neg2 = modulus - a2 - 1  # scaled floor of 1 - alpha_2
     for ell in range(1, N + 1):
         wd = ell * ell
         row_base = (ell * a1) % modulus
-        acc.segment(a2, row_base, ell, 1, ell, lambda j, L=ell: (L, j), wd)
-        acc.segment(neg2, row_base, ell, 1, ell, lambda j, L=ell: (L, -j), wd)
-        acc.segment(a1, 0, 0, ell, ell, lambda j: (j, 0), wd)
-        if ell >= 2:
-            col_pos = (ell * a2) % modulus
-            col_neg = (ell * neg2) % modulus
-            acc.segment(a1, col_pos, ell, 1, ell - 1, lambda j, L=ell: (j, L), wd)
-            acc.segment(a1, col_neg, ell, 1, ell - 1, lambda j, L=ell: (j, -L), wd)
-        acc.segment(a2, 0, 0, ell, ell, lambda j: (0, j), wd)
+        yield a2, row_base, ell, 1, ell, lambda j, L=ell: (L, j), wd
+        yield neg2, row_base, ell, 1, ell, lambda j, L=ell: (L, -j), wd
+        yield a1, 0, 0, ell, ell, lambda j: (j, 0), wd
+        # the two columns are empty for ell = 1
+        yield a1, (ell * a2) % modulus, ell, 1, ell - 1, lambda j, L=ell: (j, L), wd
+        yield a1, (ell * neg2) % modulus, ell, 1, ell - 1, lambda j, L=ell: (j, -L), wd
+        yield a2, 0, 0, ell, ell, lambda j: (0, j), wd
 
 
 def sum_multidim(specs, N: int, weight: str = "1") -> SumResult:
@@ -499,24 +422,44 @@ def sum_multidim(specs, N: int, weight: str = "1") -> SumResult:
         raise DiosumError("need d >= 1 and N >= 1")
     if weight not in ("1", "linf"):
         raise DiosumError("weight must be '1' or 'linf'")
-    acc = _LatticeAccumulator(specs, N, 128)
-    if weight == "1":
-        _emit_unit_half(acc, d, ())
-    elif d == 1:
-        # ||n||_inf = n on the half line: the kernel's 1/n weight
+    bits = 128
+    modulus = 1 << bits
+    A = [frac_scaled(s, bits) for s in specs]
+    lo_leaves, hi_leaves = [], []
+    included = n_resolved = 0
+
+    def run(mult, base, bw, j0, j1, vec_fn, wd):
+        """Kernel run over j0 <= j <= j1, weight 1/wd (wd None: 1/j)."""
+        nonlocal included, n_resolved
+        if j1 < j0:
+            return
         s_lo, s_hi, m, flags = kernel.sum_block(
-            acc.A[0], 1, 0, 0, 1, N, VARIANT_DIST, 1, None, 0, acc.bits
-        )
-        acc.lo_leaves.append(s_lo)
-        acc.hi_leaves.append(s_hi)
-        acc.included += m
-        acc.resolve([((j,), (j,), j) for j in flags])
+            mult, 1, base, bw, j0, j1, VARIANT_DIST, int(wd is None), None, 0, bits)
+        if wd not in (1, None):
+            s_lo = (s_lo * _div_dn(1, wd)) * _GUARD_DN
+            s_hi = (s_hi * _div_up(1, wd)) * _GUARD_UP
+        lo_leaves.append(s_lo)
+        hi_leaves.append(s_hi)
+        if flags:
+            terms = [(v, v, wd or v[0]) for v in map(vec_fn, flags)]
+            resolved = _resolve_terms(specs, terms, 0, VARIANT_DIST, None, dependence_suspect=True)
+            lo_leaves.extend(lo for lo, _ in resolved)
+            hi_leaves.extend(hi for _, hi in resolved)
+        included += m + len(flags)
+        n_resolved += len(flags)
+
+    if weight == "1":
+        for mult, base, bw, vec_fn in half_lattice(A, N, modulus):
+            run(mult, base, bw, 1, N, vec_fn, 1)
+    elif d == 1:  # ||n||_inf = n on the half line: the kernel's 1/n weight
+        run(A[0], 0, 0, 1, N, lambda j: (j,), None)
     elif d == 2:
-        _emit_linf_half_2d(acc)
+        for args in _linf_half_2d(*A, N, modulus):
+            run(*args)
     else:
         raise DiosumError("linf weight is implemented for d <= 2")
 
-    ball = _assemble(acc.lo_leaves, acc.hi_leaves, acc.included, acc.bits, acc.n_resolved)
+    ball = _assemble(lo_leaves, hi_leaves, included, bits, n_resolved)
     ball = BallReal(ball.mid * 2, ball.rad * 2, ball.precision)  # mirror half, exact
     return SumResult(
         enclosure=ball,
@@ -526,8 +469,8 @@ def sum_multidim(specs, N: int, weight: str = "1") -> SumResult:
         cutoff=None,
         beta=None,
         excluded_index=None,
-        terms_included=acc.included * 2,
-        precision_bits=acc.bits,
+        terms_included=included * 2,
+        precision_bits=bits,
     )
 
 
@@ -537,11 +480,36 @@ def sum_multidim(specs, N: int, weight: str = "1") -> SumResult:
 
 def small_dist_indices(spec: IrrationalSpec, N: int) -> list:
     """Sorted n <= N with ||n alpha|| < 1/(2n); each returned index is
-    verified (not assumed) to be a multiple of its block's q_k."""
+    verified (not assumed) to be a multiple of its block's q_k.
+
+    On [2**k, 2**(k+1)) such an n has ||n alpha|| < 2**-(k+1), so one kernel
+    count pass per dyadic block with that threshold and nothing to count
+    flags every candidate; only those are decided exactly, from 256 bits.
+    """
     _check_N(N)
-    cap = precision_cap()
-    a = frac_scaled(spec, 128)
-    out = [n for n in range(1, N + 1) if _small_dist(spec, n, a, cap)]
+    bits = 128
+    a = frac_scaled(spec, bits)
+    candidates = []
+    for k in range(N.bit_length()):
+        threshold = 1 << (bits - 1 - k)
+        candidates += kernel.count_block(
+            a, 1, 0, 0, 1 << k, min((2 << k) - 1, N), VARIANT_DIST, 0, threshold, bits)[1]
+
+    def decide(i, d_lo, d_hi, bits):
+        n = candidates[i]
+        if 2 * n * d_hi < 1 << bits:
+            return True
+        return False if 2 * n * d_lo >= 1 << bits else OPEN
+
+    def fail(i, box):
+        n, cap = candidates[i], precision_cap()
+        return PrecisionExhausted(
+            f"||{n} alpha|| vs 1/(2n) not separated below {cap} bits", index=n, bits=cap
+        )
+
+    small = resolve_forms((spec,), [(n,) for n in candidates], 0, VARIANT_DIST,
+                          decide, fail, 256)
+    out = [n for n, keep in zip(candidates, small) if keep]
     data = expand_data(spec, locate_block(spec, N) + 1)
     for n in out:
         k = data.block_index(n)
@@ -551,26 +519,3 @@ def small_dist_indices(spec: IrrationalSpec, N: int) -> list:
                 f"q_{k}={data.q[k]} does not divide it"
             )
     return out
-
-
-def _small_dist(spec, n, a, cap) -> bool:
-    """Whether ||n alpha|| < 1/(2n): tried at 128 bits from a = frac_scaled(spec,
-    128), then exactly from 256 bits up."""
-    bits = 128
-    while True:
-        modulus = 1 << bits
-        mapped = map_variant((n * a) % modulus, n, modulus, VARIANT_DIST)
-        if mapped is not None:
-            d_lo, d_hi = mapped
-            if 2 * n * d_hi < modulus:
-                return True
-            if 2 * n * d_lo >= modulus:
-                return False
-        if bits >= max(cap, 256):
-            raise PrecisionExhausted(
-                f"||{n} alpha|| vs 1/(2n) not separated below {cap} bits",
-                index=n,
-                bits=cap,
-            )
-        bits = max(256, min(2 * bits, cap))
-        a = frac_scaled(spec, bits)

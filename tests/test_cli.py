@@ -7,9 +7,14 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from diosum.cf import IrrationalSpec
+from diosum.predict import clog
+from diosum.reals import dist_nearest
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA_PATH = ROOT / "docs" / "row_schema.json"
@@ -206,10 +211,19 @@ def test_shifted_cli_excludes_min():
 
 
 def test_shifted_hypothesis_evidence_column():
-    proc = run_cli("compare", "--theorem", "thm3.2", "--alpha", "phi",
-                   "--beta", "1/3", "--N", "200", "--evidence", "--format", "json")
-    row = json.loads(proc.stdout.splitlines()[0])
-    assert row["hyp_min_evidence"] > 0  # finite-range evidence, never asserted
+    # finite-range evidence, never asserted; the batched column must equal a
+    # per-index oracle of the same rel_bits = 20 enclosures exactly
+    for alpha, N in (("sqrt2", 2000), ("phi", 1500)):
+        spec = IrrationalSpec.parse(alpha)
+        for beta in ("1/3", "2/7"):
+            proc = run_cli("compare", "--theorem", "thm3.2", "--alpha", alpha,
+                           "--beta", beta, "--N", str(N), "--evidence", "--format", "json")
+            row = json.loads(proc.stdout.splitlines()[0])
+            oracle = min(
+                n * clog(clog(n)) * float(dist_nearest(spec, n, Fraction(beta), rel_bits=20).hi)
+                for n in range(1, N + 1)
+            )
+            assert row["hyp_min_evidence"] == oracle > 0
 
 
 def test_mc_skipped_samples_logged():

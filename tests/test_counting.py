@@ -87,6 +87,12 @@ def test_count_fast_spec_instances(phi, sqrt2):
         sqrt2, 2000, Fraction(3, 1000)
     )
     assert counting.count_fast(phi, 12345, Fraction(1, 2)) == 12345
+    # a_3 = 10^40 after q_2 = 3: every multiple of 3 is a flagged membership
+    huge = IrrationalSpec.parse(f"digits:0,1,2,{10**40},1,3,2,2,1,3,1*200")
+    for variant in ("dist", "frac", "complement"):
+        for beta in (Fraction(0), Fraction(2, 7)):
+            assert counting.count_fast(huge, 5 * 10**4, Fraction(1, 7), variant, beta) == \
+                counting.count_dist_le(huge, 5 * 10**4, Fraction(1, 7), variant, beta)
 
 
 def test_count_fast_deep_descent(sqrt2):
@@ -252,6 +258,20 @@ def test_local_disc_batch_matches_single(sqrt2):
             assert batch[(K, t)] == counting.local_disc_extrema(sqrt2, K, t)
 
 
+def test_local_disc_batch_validates_like_single(phi):
+    # the batch used to return values for t outside (0, 1) and {} for K < 1
+    for bad_t in (Fraction(3, 2), Fraction(0), Fraction(-1, 3), Fraction(1)):
+        with pytest.raises(DiosumError, match=r"t must be in \(0, 1\)"):
+            counting.local_disc_extrema(phi, 3, bad_t)
+        with pytest.raises(DiosumError, match=r"t must be in \(0, 1\)"):
+            counting.local_disc_extrema_batch(phi, 3, [Fraction(1, 2), bad_t])
+    for bad_K in (0, -2):
+        with pytest.raises(DiosumError, match="K must be >= 1"):
+            counting.local_disc_extrema(phi, bad_K, Fraction(1, 2))
+        with pytest.raises(DiosumError, match="K must be >= 1"):
+            counting.local_disc_extrema_batch(phi, bad_K, [Fraction(1, 2)])
+
+
 def test_schoissengeier_exact_values(sqrt2, phi):
     data = expand_data(sqrt2, 5)
     mx, mn = counting.schoissengeier_prediction(data, 3, Fraction(3, 10))
@@ -284,8 +304,7 @@ def _brute_count_multidim(specs, N, t):
         nonlocal total
         if len(vec) == d:
             if any(vec):
-                ball_entries = [(s, c) for s, c in zip(specs, vec) if c]
-                if counting._resolve_member(ball_entries, Fraction(0), 0, t):
+                if counting._resolve_members(specs, [tuple(vec)], Fraction(0), 0, t)[0]:
                     total += 1
             return
         for c in range(-N, N + 1):

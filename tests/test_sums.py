@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from diosum import kernel, reals, sums
+from diosum import counting, kernel, reals, sums
 from diosum.cf import IrrationalSpec
 from diosum.errors import DiosumError, PrecisionExhausted, RationalDependence
 from exact_surd import Surd
@@ -242,16 +242,20 @@ def test_small_dist_indices_examples(phi):
         sums.small_dist_indices(phi, 0)
 
 
-def test_small_dist_matches_brute(e_const):
-    got = sums.small_dist_indices(e_const, 2000)
-    brute = []
-    for n in range(1, 2001):
-        val = reals.dist_nearest(e_const, n)
-        if val.hi < Fraction(1, 2 * n):
-            brute.append(n)
-        else:
-            assert val.lo > Fraction(1, 2 * n) or n in got
-    assert got == brute
+def test_small_dist_matches_brute(monkeypatch, e_const, phi):
+    huge = IrrationalSpec.parse(f"digits:0,1,2,{10**40},1,3,2,2,1,3,1*200")
+    big_digits = IrrationalSpec.parse("digits:0,1*10,10000,1*300")
+    for spec in (e_const, phi, big_digits, huge):
+        brute = []
+        for n in range(1, 2001):
+            val = reals.dist_nearest(spec, n)
+            if val.hi < Fraction(1, 2 * n):
+                brute.append(n)
+            else:
+                assert val.lo > Fraction(1, 2 * n)
+        for backend in kernel.available_backends():
+            monkeypatch.setenv("DIOSUM_KERNEL", backend)
+            assert sums.small_dist_indices(spec, 2000) == brute
 
 
 def test_small_dist_structure_at_scale(phi, sqrt2):
@@ -370,9 +374,27 @@ def test_resolver_and_argmin_raise_at_the_cap(monkeypatch):
     monkeypatch.setenv("DIOSUM_MAX_PRECISION_BITS", "128")
     with pytest.raises(PrecisionExhausted, match="argmin tie"):
         sums.find_min_index(HUGE, 0, 100)
+    monkeypatch.setenv("DIOSUM_MAX_PRECISION_BITS", "256")
+    with pytest.raises(PrecisionExhausted, match="membership vs t=1/7 not separated below 256"):
+        counting.count_dist_le(deep, 30, Fraction(1, 7))
+    with pytest.raises(PrecisionExhausted, match="membership vs t=1/7 not separated below 256"):
+        counting.count_multidim((deep,), 30, Fraction(1, 7))
+    # still tried at 256 bits with the cap below it, as before batching:
+    # ||3 alpha|| is about 2**-135 for HUGE, so 256 bits decide it
+    for cap in ("128", "256"):
+        monkeypatch.setenv("DIOSUM_MAX_PRECISION_BITS", cap)
+        with pytest.raises(PrecisionExhausted, match=r"\|\|3 alpha\|\| vs 1/\(2n\)") as err:
+            sums.small_dist_indices(deep, 100)
+        assert (err.value.index, err.value.bits) == (3, int(cap))
+        assert sums.small_dist_indices(HUGE, 100) == [1] + list(range(3, 101, 3))
     monkeypatch.delenv("DIOSUM_MAX_PRECISION_BITS")
     assert sums.sum_harmonic_dist(deep, 30).terms_included == 30
     assert sums.find_min_index(HUGE, 0, 100) == 3
+    assert counting.count_dist_le(deep, 30, Fraction(1, 7)) == counting.count_fast(
+        deep, 30, Fraction(1, 7))
+    assert counting.count_multidim((deep,), 30, Fraction(1, 7)) == 2 * counting.count_fast(
+        deep, 30, Fraction(1, 7))
+    assert 3 in sums.small_dist_indices(deep, 100)
 
 
 def test_workers_bounded_and_validated(monkeypatch):

@@ -28,7 +28,7 @@ from .errors import (
     PrecisionExhausted,
     RationalDependence,
 )
-from .reals import BallReal, ThresholdDecision, compare_threshold, dist_nearest, eval_alpha, frac_part
+from .reals import BallReal, dist_nearest, frac_part
 
 __version__ = "0.1.0"
 
@@ -36,7 +36,6 @@ __all__ = [
     "IrrationalSpec",
     "ContinuedFractionData",
     "BallReal",
-    "ThresholdDecision",
     "expand",
     "expand_data",
     "convergents",
@@ -44,10 +43,8 @@ __all__ = [
     "locate_block",
     "best_approx_error",
     "ostrowski",
-    "eval_alpha",
     "dist_nearest",
     "frac_part",
-    "compare_threshold",
     "DiosumError",
     "PrecisionExhausted",
     "DigitsExhausted",

@@ -30,25 +30,6 @@ GUARD_DN = 1.0 - 2.0**-48
 MAX_KERNEL_BITS = 900  # beyond this the double conversion would go subnormal
 
 
-def float_below(v: int, bits: int) -> float:
-    """Largest representable double <= v / 2**bits (v >= 0)."""
-    sh = v.bit_length() - 53
-    if sh > 0:
-        return math.ldexp(v >> sh, sh - bits)
-    return math.ldexp(v, -bits)
-
-
-def float_above(v: int, bits: int) -> float:
-    """Smallest representable double >= v / 2**bits (v >= 0)."""
-    sh = v.bit_length() - 53
-    if sh > 0:
-        m = v >> sh
-        if (m << sh) != v:
-            m += 1
-        return math.ldexp(m, sh - bits)
-    return math.ldexp(v, -bits)
-
-
 def sum_block(
     a: int,
     aw: int,

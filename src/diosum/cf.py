@@ -340,12 +340,6 @@ def _interval_digits(lo: Fraction, hi: Fraction):
     return common[:-1] if common else []
 
 
-def _extraction_cap() -> int:
-    from .reals import precision_cap
-
-    return precision_cap()
-
-
 def expand(spec: IrrationalSpec, K: int) -> list:
     """Partial quotients a_0..a_K, exact.
 
@@ -362,21 +356,20 @@ def expand(spec: IrrationalSpec, K: int) -> list:
     # uniform / root: escalate precision until K+1 digits are certified.
     # A.e. samples need about 3.5 bits per digit; start there to avoid
     # rescanning for deep requests.
-    cap = _extraction_cap()
+    from .reals import escalate, precision_cap
+
+    cap = precision_cap()
     bits = min(max(128, 64 * ((7 * (K + 1) // 2 + 256) // 64)), cap)
     while True:
         lo, hi = spec_interval(spec, bits)
         digits = _interval_digits(lo, hi)
         if len(digits) >= K + 1:
             return digits[: K + 1]
-        if bits >= cap:
-            raise PrecisionExhausted(
-                f"could not certify digit a_{len(digits)} of {spec.label()} "
-                f"below {cap} bits",
-                index=len(digits),
-                bits=cap,
-            )
-        bits = min(2 * bits, cap)
+        bits = escalate(bits, cap, PrecisionExhausted(
+            f"could not certify digit a_{len(digits)} of {spec.label()} below {cap} bits",
+            index=len(digits),
+            bits=cap,
+        ))
 
 
 # ---------------------------------------------------------------------------
@@ -469,12 +462,6 @@ def locate_block(spec: IrrationalSpec, N: int) -> int:
         if data.q[-1] > N:
             return data.block_index(N)
         guess *= 2
-
-
-def block_data(spec: IrrationalSpec, N: int, extra: int = 1) -> ContinuedFractionData:
-    """Convergent table through q_{K+extra} for the block containing N."""
-    K = locate_block(spec, N)
-    return expand_data(spec, K + extra)
 
 
 def best_approx_error(spec: IrrationalSpec, k: int):

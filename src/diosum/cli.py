@@ -15,7 +15,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import counting, predict, sums
+from . import counting, kernel, predict, sums
 from .cf import IrrationalSpec, convergents, expand, expand_data
 from .errors import BlockMismatch, DiosumError, PrecisionExhausted
 from .predict import clog
@@ -370,6 +370,7 @@ def cmd_mc(args, writer) -> int:
         # bad settings are usage errors here, not a skipped seed each
         sums._workers()
         precision_cap()
+        kernel.backend()
         denom1 = 2.0 * N * clog(N)
         denom2 = clog(N) ** 2
 

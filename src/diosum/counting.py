@@ -33,13 +33,15 @@ from .reals import (
     OPEN,
     VARIANT_DIST,
     VARIANT_FRAC,
+    VARIANT_IDS,
     BallReal,
     beta_scaled,
+    escalate,
     frac_scaled,
     precision_cap,
     resolve_forms,
 )
-from .sums import half_lattice
+from .sums import CHUNK, half_lattice
 
 __all__ = [
     "count_dist_le",
@@ -53,9 +55,7 @@ __all__ = [
     "count_multidim",
 ]
 
-_VARIANTS = {"dist": 0, "frac": 1, "complement": 2}
 _BRUTE_CUTOFF = 64  # descent defers to direct evaluation below this length
-CHUNK = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -86,10 +86,10 @@ def count_dist_le(spec: IrrationalSpec, N: int, t, variant: str = "dist",
     t = Fraction(t)
     if t <= 0 or N < 1:
         raise DiosumError("need t > 0 and N >= 1")
-    if variant not in _VARIANTS:
+    if variant not in VARIANT_IDS:
         raise DiosumError(f"unknown variant {variant!r}")
     beta = Fraction(beta) if beta is not None else Fraction(0)
-    vid = _VARIANTS[variant]
+    vid = VARIANT_IDS[variant]
     if (variant == "dist" and t >= Fraction(1, 2)) or t >= 1:
         return N
     bits = 128
@@ -146,11 +146,8 @@ def _enclose(ctx: _Ctx, w: int, y):
 
 def _refine(ctx: _Ctx, w: int, y):
     """Double w, up to the cap, and enclose y again there."""
-    if w >= ctx.cap:
-        raise PrecisionExhausted(
-            f"floor not certified below {ctx.cap} bits", bits=ctx.cap
-        )
-    w = min(2 * w, ctx.cap)
+    w = escalate(w, ctx.cap, PrecisionExhausted(
+        f"floor not certified below {ctx.cap} bits", bits=ctx.cap))
     return w, _enclose(ctx, w, y)
 
 
@@ -289,7 +286,7 @@ def count_fast(spec: IrrationalSpec, N: int, t, variant: str = "dist",
     t = Fraction(t)
     if t <= 0 or N < 1:
         raise DiosumError("need t > 0 and N >= 1")
-    if variant not in _VARIANTS:
+    if variant not in VARIANT_IDS:
         raise DiosumError(f"unknown variant {variant!r}")
     beta = Fraction(beta) if beta is not None else Fraction(0)
     ctx = _Ctx(spec)

@@ -5,13 +5,14 @@ representation whenever the indices, the interval widths n*aw + bw and the
 cut or threshold band fit its 64- and 128-bit integers; the pure-Python
 module handles every other block, any precision, and is the fallback when
 the extension is unavailable.  Both produce bit-identical results at 128
-bits.  Set DIOSUM_KERNEL=py to force the fallback (used by the benchmark
-and the equivalence tests).
+bits.  DIOSUM_KERNEL (auto, c or py; read once, at import) forces a backend:
+py is used by the benchmark and the equivalence tests.
 """
 
 import os
 
 from . import _pykernel
+from .errors import DiosumError
 
 _U64 = 1 << 64
 _U128 = 1 << 128
@@ -26,19 +27,31 @@ def available_backends():
     return ("c", "py") if _ckernel is not None else ("py",)
 
 
+def _choose(forced):
+    """(backend, None) for a usable DIOSUM_KERNEL value, else (None, why)."""
+    if forced not in ("auto", "c", "py"):
+        return None, f"DIOSUM_KERNEL must be auto, c or py, not {forced!r}"
+    if forced == "c" and _ckernel is None:
+        return None, "DIOSUM_KERNEL=c but the extension is not built"
+    return ("py" if forced == "py" or _ckernel is None else "c"), None
+
+
+# a bad value is raised by the first kernel use, not here: an import error
+# would reach the CLI's user as a traceback
+_BACKEND, _BAD_BACKEND = _choose(os.environ.get("DIOSUM_KERNEL") or "auto")
+
+
 def backend() -> str:
-    forced = os.environ.get("DIOSUM_KERNEL", "auto")
-    if forced == "py":
-        return "py"
-    if forced == "c":
-        if _ckernel is None:
-            raise RuntimeError("DIOSUM_KERNEL=c but the extension is not built")
-        return "c"
-    return "c" if _ckernel is not None else "py"
+    if _BACKEND is None:
+        raise DiosumError(_BAD_BACKEND)
+    return _BACKEND
 
 
 def _use_c(bits, aw, bw, n0, n1, band) -> bool:
     """Whether the compiled kernel can run this block exactly."""
+    if _BACKEND != "c":
+        backend()  # raises for a bad DIOSUM_KERNEL
+        return False
     return (
         bits == 128
         and 0 <= n0
@@ -47,7 +60,6 @@ def _use_c(bits, aw, bw, n0, n1, band) -> bool:
         and 0 <= n1 < _U64
         and n1 * aw + bw < _U64
         and (band is None or 0 <= band[0] <= band[1] < _U128)
-        and backend() == "c"
     )
 
 

@@ -7,7 +7,8 @@ complement and distance-to-nearest maps are exact integer transformations of
 that interval.  resolve_forms applies this to whole batches of linear forms
 sum(c_i alpha_i) + beta.  Precision escalates by doubling until a decision is
 certified or the cap is hit, in which case PrecisionExhausted (or, for
-resolve_forms, the caller's error) is raised: never a silent guess.
+resolve_forms, the caller's error) is raised: never a silent guess.  escalate
+is that schedule, for every doubling loop in diosum.
 """
 
 from __future__ import annotations
@@ -23,19 +24,18 @@ from .errors import DiosumError, PrecisionExhausted
 
 __all__ = [
     "BallReal",
-    "ThresholdDecision",
     "precision_cap",
+    "escalate",
     "DEFAULT_START_BITS",
-    "eval_alpha",
     "frac_scaled",
     "int_part",
     "dist_nearest",
     "frac_part",
-    "compare_threshold",
     "map_variant",
     "VARIANT_DIST",
     "VARIANT_FRAC",
     "VARIANT_COMPLEMENT",
+    "VARIANT_IDS",
 ]
 
 DEFAULT_START_BITS = 128
@@ -44,6 +44,7 @@ _DEFAULT_CAP = 65536
 VARIANT_DIST = 0
 VARIANT_FRAC = 1
 VARIANT_COMPLEMENT = 2
+VARIANT_IDS = {"dist": VARIANT_DIST, "frac": VARIANT_FRAC, "complement": VARIANT_COMPLEMENT}
 
 
 def precision_cap() -> int:
@@ -58,6 +59,16 @@ def precision_cap() -> int:
     if cap <= 0:
         raise DiosumError("DIOSUM_MAX_PRECISION_BITS must be positive")
     return cap
+
+
+def escalate(bits: int, cap: int, error: Exception) -> int:
+    """The working precision after `bits`: twice it, clamped to `cap`.
+
+    Raises `error` when `bits` has already reached the cap.
+    """
+    if bits >= cap:
+        raise error
+    return min(2 * bits, cap)
 
 
 @dataclass(frozen=True)
@@ -98,12 +109,6 @@ class BallReal:
         return float(self.mid)
 
 
-@dataclass(frozen=True)
-class ThresholdDecision:
-    outcome: str  # "below" or "above"
-    precision: int
-
-
 # ---------------------------------------------------------------------------
 # Scaled fractional part of alpha
 
@@ -119,9 +124,7 @@ def int_part(spec: cf.IrrationalSpec) -> int:
         lo, hi = cf.spec_interval(spec, bits)
         if math.floor(lo) == math.floor(hi):
             return math.floor(lo)
-        if bits >= cap:
-            raise PrecisionExhausted("cannot certify floor(alpha)", bits=cap)
-        bits = min(2 * bits, cap)
+        bits = escalate(bits, cap, PrecisionExhausted("cannot certify floor(alpha)", bits=cap))
 
 
 @functools.lru_cache(maxsize=None)
@@ -139,11 +142,9 @@ def frac_scaled(spec: cf.IrrationalSpec, bits: int) -> int:
         fl_hi = (hi.numerator << bits) // hi.denominator
         if fl_lo == fl_hi:
             return fl_lo - (a0 << bits)
-        if guard >= cap:
-            raise PrecisionExhausted(
-                f"cannot certify alpha to {bits} bits", bits=cap
-            )
-        guard = min(2 * guard, cap)
+        guard = escalate(
+            guard, cap, PrecisionExhausted(f"cannot certify alpha to {bits} bits", bits=cap)
+        )
 
 
 def beta_scaled(beta: Fraction, bits: int):
@@ -152,14 +153,6 @@ def beta_scaled(beta: Fraction, bits: int):
     num = beta.numerator << bits
     b, rem = divmod(num, beta.denominator)
     return b, (0 if rem == 0 else 1)
-
-
-def eval_alpha(spec: cf.IrrationalSpec, precision: int) -> BallReal:
-    """Enclosure of alpha with radius <= 2**(1 - precision)."""
-    if precision < 32:
-        raise DiosumError("precision must be >= 32 bits")
-    lo, hi = cf.spec_interval(spec, precision + 1)
-    return BallReal.from_endpoints(lo, hi, precision)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +209,8 @@ def resolve_forms(specs, forms, beta, variant, decide, fail, start_bits):
     returns the verdict for form i or OPEN.  A wrapped interval, whose image
     is not representable, stays open without a call.  If forms are still
     open at the cap, the exception fail(i, box) returns for the first of
-    them is raised, box being its last image or None.
+    them is raised, box being its last image or None.  start_bits is tried
+    even when the cap lies below it.
     """
     out = [None] * len(forms)
     pending = range(len(forms))
@@ -239,10 +233,9 @@ def resolve_forms(specs, forms, beta, variant, decide, fail, start_bits):
                     out[i] = verdict
                     continue
             still_open.append((i, box))
-        if still_open and bits >= cap:
-            raise fail(*still_open[0])
+        if still_open:
+            bits = escalate(bits, cap, fail(*still_open[0]))
         pending = [i for i, _ in still_open]
-        bits = min(2 * bits, cap)
     return out
 
 
@@ -301,31 +294,3 @@ def frac_part(
         Fraction(modulus - d_hi, modulus), Fraction(modulus - d_lo, modulus), bits
     )
     return frac, comp
-
-
-def compare_threshold(
-    producer, threshold, start_bits: int = DEFAULT_START_BITS
-) -> ThresholdDecision:
-    """Certified strict comparison of a refinable value against a rational.
-
-    `producer(bits)` must return a BallReal whose radius shrinks as bits grow.
-    Since the values compared here are irrational and thresholds rational,
-    equality cannot occur and the doubling loop terminates in principle; the
-    cap guards pathological specs.
-    """
-    threshold = Fraction(threshold)
-    if threshold <= 0:
-        raise DiosumError("threshold must be a positive rational")
-    cap = precision_cap()
-    bits = start_bits
-    while True:
-        ball = producer(bits)
-        if ball.hi < threshold:
-            return ThresholdDecision("below", bits)
-        if ball.lo > threshold:
-            return ThresholdDecision("above", bits)
-        if bits >= cap:
-            raise PrecisionExhausted(
-                f"threshold {threshold} not separated below {cap} bits", bits=cap
-            )
-        bits = min(2 * bits, cap)

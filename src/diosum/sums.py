@@ -28,11 +28,11 @@ from .cf import IrrationalSpec, expand_data, locate_block
 from .errors import DiosumError, PrecisionExhausted, RationalDependence
 from .reals import (
     OPEN,
-    VARIANT_COMPLEMENT,
     VARIANT_DIST,
-    VARIANT_FRAC,
+    VARIANT_IDS,
     BallReal,
     beta_scaled,
+    escalate,
     form_interval,
     frac_scaled,
     map_variant,
@@ -55,8 +55,6 @@ CHUNK = 1 << 14
 DEFAULT_REL_TOL = Fraction(1, 10**9)
 _GUARD_UP = 1.0 + 2.0**-48
 _GUARD_DN = 1.0 - 2.0**-48
-
-_VARIANT_IDS = {"dist": VARIANT_DIST, "frac": VARIANT_FRAC, "complement": VARIANT_COMPLEMENT}
 
 
 @dataclass(frozen=True)
@@ -221,8 +219,10 @@ def _check_N(N):
 
 def _certified_sum(spec, N, variant_name, weight_name, cutoff, beta, exclude,
                    rel_tol=DEFAULT_REL_TOL):
+    """Sum at 128 bits, then at 256, 512 and 768 (clamped to the cap) until
+    the enclosure meets rel_tol."""
     _check_N(N)
-    variant = _VARIANT_IDS[variant_name]
+    variant = VARIANT_IDS[variant_name]
     weight = 1 if weight_name == "1/n" else 0
     beta = Fraction(beta) if beta is not None else Fraction(0)
     cutoff = Fraction(cutoff) if cutoff is not None else None
@@ -241,11 +241,8 @@ def _certified_sum(spec, N, variant_name, weight_name, cutoff, beta, exclude,
                 terms_included=included,
                 precision_bits=bits,
             )
-        if bits >= min(precision_cap(), 768):
-            raise PrecisionExhausted(
-                f"relative tolerance {rel_tol} unreachable at {bits} bits", bits=bits
-            )
-        bits *= 2
+        bits = escalate(bits, min(precision_cap(), 768), PrecisionExhausted(
+            f"relative tolerance {rel_tol} unreachable at {bits} bits", bits=bits))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +290,7 @@ def _argmin_variant(spec, beta, N, variant_name):
     some flagged value is certainly below it).  Every other n is at least
     T, so the flagged ones are the only candidates refined.
     """
-    variant = _VARIANT_IDS[variant_name]
+    variant = VARIANT_IDS[variant_name]
     beta = Fraction(beta)
     cap = precision_cap()
 
@@ -326,13 +323,9 @@ def _argmin_variant(spec, beta, N, variant_name):
         alive = [n for n, lo, _ in ivals if lo <= best_hi]
         if len(alive) == 1:
             return alive[0]
-        if bits >= cap:
-            raise PrecisionExhausted(
-                f"argmin tie among {alive} unresolved at "
-                f"{cap} bits (reported, not guessed)",
-                bits=cap,
-            )
-        bits = min(2 * bits, cap)
+        bits = escalate(bits, cap, PrecisionExhausted(
+            f"argmin tie among {alive} unresolved at {cap} bits (reported, not guessed)",
+            bits=cap))
         ivals = boxes(alive, bits)
 
 
@@ -356,7 +349,7 @@ def sum_shifted(spec: IrrationalSpec, beta, N: int, mode: str = "exclude_min",
     """
     if mode not in ("exclude_min", "full"):
         raise DiosumError("mode must be 'exclude_min' or 'full'")
-    if variant not in _VARIANT_IDS:
+    if variant not in VARIANT_IDS:
         raise DiosumError(f"unknown variant {variant!r}")
     if weight not in ("1", "1/n"):
         raise DiosumError("weight must be '1' or '1/n'")

@@ -352,6 +352,21 @@ def test_bad_worker_count_is_a_usage_error():
             assert proc.stdout == ""
 
 
+def test_bad_kernel_choice_is_a_usage_error():
+    # a missing extension is simulated by blocking its import
+    no_ext = ("import sys; sys.modules['diosum._ckernel'] = None; "
+              "from diosum.cli import main; sys.exit(main(sys.argv[1:]))")
+    for raw, cmd in (("gpu", [sys.executable, "-m", "diosum"]),
+                     ("c", [sys.executable, "-c", no_ext])):
+        for args in (("sum", "--family", "dist", "--alpha", "phi", "--N", "400"),
+                     ("mc", "--samples", "1", "--stat", "sums", "--N", "400")):
+            proc = subprocess.run([*cmd, *args], capture_output=True, text=True, cwd=ROOT,
+                                  env=dict(os.environ, DIOSUM_KERNEL=raw))
+            assert proc.returncode == 2, (raw, args, proc.stderr)
+            assert "DIOSUM_KERNEL" in proc.stderr and "Traceback" not in proc.stderr
+            assert proc.stdout == ""
+
+
 def test_exclude_min_rejects_N_zero():
     # used to search an empty range up to the cap and report a tie among []
     proc = run_cli("sum", "--family", "shifted", "--alpha", "phi", "--beta", "1/3",

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diosum import reals
+from diosum import cf, reals
 from diosum.cf import IrrationalSpec
 from diosum.errors import DiosumError, PrecisionExhausted
 from exact_surd import Surd
@@ -20,15 +20,11 @@ E_LITERAL = Fraction("2.7182818284590452353602874713526624977572470936999")
     [("phi", PHI_LITERAL, 64), ("sqrt2", SQRT2_LITERAL, 64), ("e", E_LITERAL, 128)],
 )
 def test_eval_alpha_known_values(name, value, prec):
-    ball = reals.eval_alpha(IrrationalSpec.parse(name), prec)
+    lo, hi = cf.spec_interval(IrrationalSpec.parse(name), prec)
+    mid, rad = (lo + hi) / 2, (hi - lo) / 2
     # the literal is a 50-digit truncation; allow its own error on top of rad
-    assert abs(ball.mid - value) <= ball.rad + Fraction(1, 10**48)
-    assert ball.rad <= Fraction(2) ** (1 - prec)
-
-
-def test_eval_alpha_minimum_precision(phi):
-    with pytest.raises(DiosumError):
-        reals.eval_alpha(phi, 16)
+    assert abs(mid - value) <= rad + Fraction(1, 10**48)
+    assert rad <= Fraction(2) ** (1 - prec)
 
 
 def test_dist_nearest_examples(phi, sqrt2):
@@ -93,42 +89,13 @@ def test_determinism(phi):
     assert a == b
 
 
-def test_compare_threshold_examples(phi):
-    def value_of(n):
-        return lambda bits: reals.dist_nearest(phi, n, start_bits=bits)
-
-    assert reals.compare_threshold(value_of(1), Fraction(1, 2)).outcome == "below"
-    assert reals.compare_threshold(value_of(2), Fraction(1, 4)).outcome == "below"
-    assert reals.compare_threshold(value_of(3), Fraction(1, 10)).outcome == "above"
-
-
-def test_compare_threshold_refines_near_value(phi):
-    # rational threshold within ~4e-40 of ||8 phi|| = 9 - 4 sqrt(5)
-    t = 9 - Fraction(4 * math.isqrt(5 * 10**80), 10**40)
-    exact = Surd(9, -4, 1, 5)
-    expected = "above" if exact.cmp(t) > 0 else "below"
-    decision = reals.compare_threshold(
-        lambda bits: reals.dist_nearest(phi, 8, start_bits=bits, rel_bits=16), t
-    )
-    assert decision.outcome == expected
-    assert decision.precision > 128
-
-
-def test_compare_threshold_validates(phi):
-    with pytest.raises(DiosumError):
-        reals.compare_threshold(lambda bits: reals.dist_nearest(phi, 1), Fraction(0))
-
-
 def test_precision_cap_env(monkeypatch, phi):
     monkeypatch.setenv("DIOSUM_MAX_PRECISION_BITS", "256")
     assert reals.precision_cap() == 256
-    # threshold within 2**-300 of the true value cannot separate below the cap
-    lo, hi = Surd(9, -4, 1, 5).enclosure(320)
-    t = (lo + hi) / 2
-    with pytest.raises(PrecisionExhausted):
-        reals.compare_threshold(
-            lambda bits: reals.dist_nearest(phi, 8, start_bits=min(bits, 256)), t
-        )
+    # ||8 phi|| is about 2**-5: a relative width of 2**-300 needs more than 256 bits
+    with pytest.raises(PrecisionExhausted) as err:
+        reals.dist_nearest(phi, 8, rel_bits=300)
+    assert (err.value.index, err.value.bits) == (8, 256)
     monkeypatch.setenv("DIOSUM_MAX_PRECISION_BITS", "bogus")
     with pytest.raises(DiosumError):
         reals.precision_cap()

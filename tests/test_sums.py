@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from diosum import counting, kernel, reals, sums
+from diosum import cf, counting, kernel, reals, sums
 from diosum.cf import IrrationalSpec
 from diosum.errors import DiosumError, PrecisionExhausted, RationalDependence
 from exact_surd import Surd
@@ -254,7 +254,8 @@ def test_small_dist_matches_brute(monkeypatch, e_const, phi):
             else:
                 assert val.lo > Fraction(1, 2 * n)
         for backend in kernel.available_backends():
-            monkeypatch.setenv("DIOSUM_KERNEL", backend)
+            monkeypatch.setattr(kernel, "_BACKEND", backend)
+            assert kernel.backend() == backend
             assert sums.small_dist_indices(spec, 2000) == brute
 
 
@@ -322,7 +323,8 @@ def test_argmin_matches_brute_force(monkeypatch, alpha):
         for variant in ("dist", "frac", "complement"):
             brute = _brute_argmins(spec, beta, variant, max(Ns))
             for backend in kernel.available_backends():
-                monkeypatch.setenv("DIOSUM_KERNEL", backend)
+                monkeypatch.setattr(kernel, "_BACKEND", backend)
+                assert kernel.backend() == backend
                 for N in Ns:
                     assert sums._argmin_variant(spec, beta, N, variant) == brute[N]
                 if variant == "dist":
@@ -387,6 +389,15 @@ def test_resolver_and_argmin_raise_at_the_cap(monkeypatch):
             sums.small_dist_indices(deep, 100)
         assert (err.value.index, err.value.bits) == (3, int(cap))
         assert sums.small_dist_indices(HUGE, 100) == [1] + list(range(3, 101, 3))
+    # 128 bits miss the 1e-9 tolerance here and 200 meet it: the next pass
+    # runs at the cap, not at 256
+    monkeypatch.setenv("DIOSUM_MAX_PRECISION_BITS", "200")
+    wide = IrrationalSpec.parse(f"digits:0,1,2,{10**32},1,3,1*200")
+    assert sums.sum_harmonic_dist(wide, 50).precision_bits == 200
+    monkeypatch.setenv("DIOSUM_MAX_PRECISION_BITS", "256")
+    with pytest.raises(PrecisionExhausted, match="digit a_78 of uniform:5 below 256") as err:
+        cf.expand(IrrationalSpec.uniform(5), 200)
+    assert (err.value.index, err.value.bits) == (78, 256)
     monkeypatch.delenv("DIOSUM_MAX_PRECISION_BITS")
     assert sums.sum_harmonic_dist(deep, 30).terms_included == 30
     assert sums.find_min_index(HUGE, 0, 100) == 3

@@ -11,6 +11,10 @@
    indices in a fixed buffer, re-taking the GIL only to hand a full buffer
    over to the result list.
 
+   disc_profile is the discrepancy profile of counting.discrepancy_profile:
+   the same float64 operations as the numpy loop in _pykernel, in the same
+   order, with one sorted scratch array and no allocation per N.
+
    Needs unsigned __int128 (gcc or clang), and doubles that round to double
    precision with no fused multiply-add (setup.py passes -ffp-contract=off). */
 
@@ -19,6 +23,7 @@
 #include <float.h>
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 #if !defined(FLT_EVAL_METHOD) || FLT_EVAL_METHOD != 0
 #error "double expressions must be evaluated in double precision"
@@ -252,6 +257,81 @@ static PyObject *count_block_128(PyObject *self, PyObject *args)
     return Py_BuildValue("KN", (unsigned long long)j.hits, flags);
 }
 
+/* D_N of x_1..x_N for every N: x_N goes into the sorted scratch array at
+   its left insertion point, then one pass evaluates exactly the float64
+   operations of _pykernel.disc_from_sorted in the same order, so every
+   output double is bit-identical to the numpy loop. */
+static void profile(const double *xs, double *out, double *cur, Py_ssize_t n_max)
+{
+    for (Py_ssize_t N = 1; N <= n_max; N++) {
+        double x = xs[N - 1];
+        Py_ssize_t lo = 0, hi = N - 1;
+        while (lo < hi) { /* first position with cur >= x */
+            Py_ssize_t mid = lo + (hi - lo) / 2;
+            if (cur[mid] < x)
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        memmove(cur + lo + 1, cur + lo, (size_t)(N - 1 - lo) * sizeof(double));
+        cur[lo] = x;
+
+        const double Nd = (double)N;
+        double m = INFINITY, best_plus = -INFINITY;  /* u running min, max(u - m) */
+        double pm = 0.0, best_minus = -INFINITY;     /* v prefix min from v_0 = 0 */
+        for (Py_ssize_t j = 1; j <= N; j++) {
+            double u = (double)j - Nd * cur[j - 1];
+            if (u < m)
+                m = u;
+            double dp = u - m;
+            if (dp > best_plus)
+                best_plus = dp;
+            double v = -u;
+            double dm = v - pm;
+            if (dm > best_minus)
+                best_minus = dm;
+            if (v < pm)
+                pm = v;
+        }
+        double dm = -1.0 - pm; /* v_{N+1} = -1 */
+        if (dm > best_minus)
+            best_minus = dm;
+        double e_plus = best_plus + 1.0, e_minus = best_minus + 1.0;
+        out[N - 1] = e_minus > e_plus ? e_minus : e_plus;
+    }
+}
+
+static PyObject *disc_profile(PyObject *self, PyObject *args)
+{
+    Py_buffer xb, ob;
+    double *cur = NULL;
+    PyObject *res = NULL;
+
+    if (!PyArg_ParseTuple(args, "y*w*:disc_profile", &xb, &ob))
+        return NULL;
+    if (xb.len % (Py_ssize_t)sizeof(double) || ob.len != xb.len ||
+        (uintptr_t)xb.buf % _Alignof(double) || (uintptr_t)ob.buf % _Alignof(double)) {
+        PyErr_SetString(PyExc_ValueError, "need two aligned float64 buffers of one length");
+        goto done;
+    }
+    Py_ssize_t n = xb.len / (Py_ssize_t)sizeof(double);
+    cur = PyMem_RawMalloc(n ? (size_t)xb.len : 1);
+    if (cur == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    Py_BEGIN_ALLOW_THREADS
+    profile(xb.buf, ob.buf, cur, n);
+    Py_END_ALLOW_THREADS
+    res = Py_None;
+    Py_INCREF(res);
+done:
+    PyMem_RawFree(cur);
+    PyBuffer_Release(&xb);
+    PyBuffer_Release(&ob);
+    return res;
+}
+
 static PyMethodDef methods[] = {
     {"sum_block_128", sum_block_128, METH_VARARGS,
      "sum_block_128(a, aw, b, bw, n0, n1, variant, weight, cut_lo, cut_hi, exclude)\n"
@@ -259,12 +339,16 @@ static PyMethodDef methods[] = {
     {"count_block_128", count_block_128, METH_VARARGS,
      "count_block_128(a, aw, b, bw, n0, n1, variant, t_lo, t_hi)\n"
      "-> (count, flagged); _pykernel.count_block at bits=128."},
+    {"disc_profile", disc_profile, METH_VARARGS,
+     "disc_profile(xs, out)\n"
+     "out[N-1] = D_N of xs[:N] for every N, as _pykernel.disc_profile; float64 buffers."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "diosum._ckernel",
-    "Compiled 128-bit term kernel, bit-identical to diosum._pykernel.", -1, methods,
+    "Compiled 128-bit term kernel and discrepancy profile, bit-identical to\n"
+    "diosum._pykernel.", -1, methods,
 };
 
 PyMODINIT_FUNC PyInit__ckernel(void)

@@ -17,6 +17,10 @@ not built, and the kernel for other precisions and for blocks beyond its
 Terms whose interval wraps the circle, touches zero, or is not separated
 from the cutoff are reported back by index for exact resolution by the
 caller; they are never guessed.
+
+The module also holds the numpy discrepancy profile that disc_profile in
+_ckernel.c reproduces bit for bit; numpy is imported inside the functions
+that use it.
 """
 
 import math
@@ -166,3 +170,35 @@ def count_block(
         else:
             flagged.append(n)
     return count, flagged
+
+
+def disc_from_sorted(xs, N: int):
+    """D_N from sorted sample floats.
+
+    Overfull deviation sup over closed [x_i, x_j]:  max(u_j - min_{i<=j} u_i) + 1
+    with u_j = j - N x_j (1-based j); underfull sup over open intervals and
+    boundary gaps: max over i < j of (v_j - v_i) + 1 on v extended by
+    v_0 = 0 (left boundary) and v_{N+1} = -1 (right boundary), v = -u.
+    """
+    import numpy as np
+
+    idx = np.arange(1, N + 1, dtype=np.float64)
+    u = idx - N * xs
+    e_plus = float(np.max(u - np.minimum.accumulate(u))) + 1.0
+    v = np.concatenate(([0.0], -u, [-1.0]))
+    prefix = np.minimum.accumulate(v)[:-1]
+    e_minus = float(np.max(v[1:] - prefix)) + 1.0
+    return max(e_plus, e_minus)
+
+
+def disc_profile(all_x):
+    """out[N-1] = D_N of all_x[:N] for every N, inserting one point per N."""
+    import numpy as np
+
+    out = np.empty(len(all_x), dtype=np.float64)
+    cur = np.empty(0, dtype=np.float64)
+    for N in range(1, len(all_x) + 1):
+        pos = np.searchsorted(cur, all_x[N - 1])
+        cur = np.insert(cur, pos, all_x[N - 1])
+        out[N - 1] = disc_from_sorted(cur, N)
+    return out

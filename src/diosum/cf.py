@@ -5,7 +5,10 @@ builds convergents (p_k, q_k) by the standard recurrence in exact integer
 arithmetic, and derives digit statistics (prefix sums, max, trimmed sum).
 Quadratic surds use the periodic surd algorithm with no rounding; Euler's
 number uses the closed digit pattern; seeded uniform samples and integer
-roots fall back to certified digit extraction from dyadic enclosures.
+roots fall back to certified digit extraction from dyadic enclosures: the
+two endpoints are expanded in lockstep, Lehmer-style, reading 128-bit
+windows of their terms and applying each window's digits to the full-size
+integers as one 2x2 matrix.
 """
 
 from __future__ import annotations
@@ -314,30 +317,62 @@ def _surd_digits(p: int, d: int, q: int, count: int) -> list:
     return digits
 
 
-def _rational_cf(num: int, den: int) -> list:
-    """Canonical continued fraction of num/den (last digit >= 2 when possible)."""
-    digits = []
-    while den:
-        a, rem = divmod(num, den)
-        digits.append(a)
-        num, den = den, rem
-    if len(digits) > 1 and digits[-1] == 1:
-        digits.pop()
-        digits[-1] += 1
-    return digits
+_WINDOW = 128  # bits of each endpoint that one Lehmer step reads
 
 
 def _interval_digits(lo: Fraction, hi: Fraction):
-    """Digits certified for every irrational in (lo, hi): common canonical
-    prefix of the endpoint expansions, with one safety digit dropped."""
-    a = _rational_cf(lo.numerator, lo.denominator)
-    b = _rational_cf(hi.numerator, hi.denominator)
-    common = []
-    for x, y in zip(a, b):
-        if x != y:
+    """Digits certified for every irrational in (lo, hi): the common prefix
+    of the endpoints' Euclidean expansions, with one safety digit dropped.
+
+    The two expansions run in lockstep and stop at their first difference.
+    While both denominators are wider than _WINDOW bits, one step reads only
+    their top bits: each endpoint n/d lies strictly inside the rational
+    window (n'/(d' + 1), (n' + 1)/d') of its shifted terms n', d', so the
+    common prefix of the hull's two ends, less its last digit, is shared by
+    both endpoints (Knuth, TAOCP vol. 2, 4.5.2, Algorithm L).  Those digits
+    reach the full-size pairs as one 2x2 matrix.  Otherwise the step is an
+    exact division.  (A Euclidean expansion never ends in the digit 1 past
+    a_0, so these expansions are already the canonical ones.)
+    """
+    n1, d1, n2, d2 = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    digits = []
+    while d1 and d2:
+        s = min(d1.bit_length(), d2.bit_length()) - _WINDOW
+        if digits and s > 0:  # after a_0 every term is non-negative
+            a1, b1, a2, b2 = n1 >> s, d1 >> s, n2 >> s, d2 >> s
+            u0, v0 = (a1, b1 + 1) if a1 * (b2 + 1) <= a2 * (b1 + 1) else (a2, b2 + 1)
+            u1, v1 = (a1 + 1, b1) if (a1 + 1) * b2 >= (a2 + 1) * b1 else (a2 + 1, b2)
+            # p/q, pp/qq: the last two convergents of the window digits
+            p, pp, q, qq = 1, 0, 0, 1
+            k = len(digits)
+            while v0 and v1:
+                c = u0 // v0
+                r1 = u1 - c * v1
+                if not 0 <= r1 < v1:
+                    break
+                digits.append(c)
+                u0, v0, u1, v1 = v0, u0 - c * v0, v1, r1
+                p, pp, q, qq = c * p + pp, p, c * q + qq, q
+            k = len(digits) - k
+            if k >= 2:
+                c = digits.pop()
+                p, pp, q, qq = pp, p - c * pp, qq, q - c * qq
+                # (n, d) = [[p, pp], [q, qq]] (n', d'), determinant (-1)**(k - 1)
+                if k % 2:
+                    n1, d1 = qq * n1 - pp * d1, p * d1 - q * n1
+                    n2, d2 = qq * n2 - pp * d2, p * d2 - q * n2
+                else:
+                    n1, d1 = pp * d1 - qq * n1, q * n1 - p * d1
+                    n2, d2 = pp * d2 - qq * n2, q * n2 - p * d2
+                continue
+            del digits[len(digits) - k:]
+        a, r1 = divmod(n1, d1)
+        b, r2 = divmod(n2, d2)
+        if a != b:
             break
-        common.append(x)
-    return common[:-1] if common else []
+        digits.append(a)
+        n1, d1, n2, d2 = d1, r1, d2, r2
+    return digits[:-1]
 
 
 def expand(spec: IrrationalSpec, K: int) -> list:

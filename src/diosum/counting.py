@@ -17,8 +17,11 @@ edge case, which alpha's irrationality makes decidable).
 
 Discrepancy is computed by the standard finite reduction over intervals
 with endpoints at the sample points; local discrepancy extrema are exact
-integer scans.  numpy is imported by the functions that use it, so that
-importing this module (and the CLI) does not load it.
+integer scans.  The discrepancy profile is still O(N^2) arithmetic for
+N <= N_max, but kernel.discrepancy_profile runs it in C with no allocation
+per N, bit-identical to the numpy loop that the py backend keeps.  numpy
+is imported by the functions that use it, so that importing this module
+(and the CLI) does not load it.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import kernel
+from . import _pykernel, kernel
 from .cf import ContinuedFractionData, IrrationalSpec, expand_data, locate_block
 from .errors import DiosumError, PrecisionExhausted
 from .reals import (
@@ -335,25 +338,6 @@ def _sample_points(spec: IrrationalSpec, N: int, bits: int = 128):
     return xs, math.ldexp(1.0, -52)
 
 
-def _disc_from_sorted(xs, N: int):
-    """D_N from sorted sample floats.
-
-    Overfull deviation sup over closed [x_i, x_j]:  max(u_j - min_{i<=j} u_i) + 1
-    with u_j = j - N x_j (1-based j); underfull sup over open intervals and
-    boundary gaps: max over i < j of (v_j - v_i) + 1 on v extended by
-    v_0 = 0 (left boundary) and v_{N+1} = -1 (right boundary), v = -u.
-    """
-    import numpy as np
-
-    idx = np.arange(1, N + 1, dtype=np.float64)
-    u = idx - N * xs
-    e_plus = float(np.max(u - np.minimum.accumulate(u))) + 1.0
-    v = np.concatenate(([0.0], -u, [-1.0]))
-    prefix = np.minimum.accumulate(v)[:-1]
-    e_minus = float(np.max(v[1:] - prefix)) + 1.0
-    return max(e_plus, e_minus)
-
-
 def discrepancy(spec: IrrationalSpec, N: int) -> BallReal:
     """D_N(alpha) = sup over subintervals of |count - length * N|, certified.
 
@@ -371,7 +355,7 @@ def discrepancy(spec: IrrationalSpec, N: int) -> BallReal:
     gaps = np.diff(xs)
     if N > 1 and float(np.min(gaps)) <= 4.0 * point_err:
         raise PrecisionExhausted("sample points too close to sort at 128 bits")
-    d = _disc_from_sorted(xs, N)
+    d = _pykernel.disc_from_sorted(xs, N)
     # |u_j| error <= N * point_err plus N units of last-place slack
     slack = N * point_err * 2.0 + math.ldexp(float(N + 2), -40)
     return BallReal.from_endpoints(
@@ -386,13 +370,9 @@ def discrepancy_profile(spec: IrrationalSpec, N_max: int):
     if N_max < 1:
         raise DiosumError("N_max must be >= 1")
     all_x, point_err = _sample_points(spec, N_max)
-    out = np.empty(N_max, dtype=np.float64)
+    out = kernel.discrepancy_profile(all_x)
     slack = np.empty(N_max, dtype=np.float64)
-    cur = np.empty(0, dtype=np.float64)
     for N in range(1, N_max + 1):
-        pos = np.searchsorted(cur, all_x[N - 1])
-        cur = np.insert(cur, pos, all_x[N - 1])
-        out[N - 1] = _disc_from_sorted(cur, N)
         slack[N - 1] = N * point_err * 2.0 + math.ldexp(float(N + 2), -40)
     return out, slack
 

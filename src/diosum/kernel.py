@@ -7,6 +7,9 @@ module handles every other block, any precision, and is the fallback when
 the extension is unavailable.  Both produce bit-identical results at 128
 bits.  DIOSUM_KERNEL (auto, c or py; read once, at import) forces a backend:
 py is used by the benchmark and the equivalence tests.
+
+The discrepancy profile dispatches the same way: the extension's loop and
+the numpy loop in _pykernel give bit-identical floats.
 """
 
 import os
@@ -79,3 +82,16 @@ def count_block(a, aw, b, bw, n0, n1, variant, t_lo, t_hi, bits):
     if _use_c(bits, aw, bw, n0, n1, (t_lo, t_hi)):
         return _ckernel.count_block_128(a, aw, b, bw, n0, n1, variant, t_lo, t_hi)
     return _pykernel.count_block(a, aw, b, bw, n0, n1, variant, t_lo, t_hi, bits)
+
+
+def discrepancy_profile(xs):
+    """out[N-1] = D_N of the float64 sample points xs[:N], every N."""
+    if _BACKEND != "c":
+        backend()  # raises for a bad DIOSUM_KERNEL
+        return _pykernel.disc_profile(xs)
+    import numpy as np
+
+    xs = np.ascontiguousarray(xs, dtype=np.float64)
+    out = np.empty_like(xs)
+    _ckernel.disc_profile(xs, out)
+    return out

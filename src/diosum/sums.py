@@ -323,9 +323,10 @@ def _argmin_variant(spec, beta, N, variant_name):
         alive = [n for n, lo, _ in ivals if lo <= best_hi]
         if len(alive) == 1:
             return alive[0]
+        shown = ", ".join(map(str, alive[:4])) + (", ..." if len(alive) > 4 else "")
         bits = escalate(bits, cap, PrecisionExhausted(
-            f"argmin tie among {alive} unresolved at {cap} bits (reported, not guessed)",
-            bits=cap))
+            f"argmin tie among {len(alive)} candidates [{shown}] unresolved at {cap} bits"
+            " (reported, not guessed)", bits=cap))
         ivals = boxes(alive, bits)
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from diosum import cf
 from diosum.cf import ContinuedFractionData, IrrationalSpec
-from diosum.errors import DigitsExhausted, DiosumError
+from diosum.errors import DigitsExhausted, DiosumError, PrecisionExhausted
 
 
 def test_phi_digits():
@@ -240,3 +240,104 @@ def test_parse_round_trip():
     )
     with pytest.raises(DiosumError):
         IrrationalSpec.parse("pi")
+
+
+# ---------------------------------------------------------------------------
+# Interval digit extraction against the two-expansion reference
+
+
+def _rational_cf(num: int, den: int) -> list:
+    """Canonical continued fraction of num/den (last digit >= 2 when possible)."""
+    digits = []
+    while den:
+        a, rem = divmod(num, den)
+        digits.append(a)
+        num, den = den, rem
+    if len(digits) > 1 and digits[-1] == 1:
+        digits.pop()
+        digits[-1] += 1
+    return digits
+
+
+def _reference_interval_digits(lo: Fraction, hi: Fraction):
+    """Common canonical prefix of both full expansions, less one digit."""
+    common = []
+    for x, y in zip(_rational_cf(lo.numerator, lo.denominator),
+                    _rational_cf(hi.numerator, hi.denominator)):
+        if x != y:
+            break
+        common.append(x)
+    return common[:-1] if common else []
+
+
+def _cf_value(digits) -> Fraction:
+    value = Fraction(digits[-1])
+    for a in reversed(digits[:-1]):
+        value = a + 1 / value
+    return value
+
+
+@st.composite
+def _rational_intervals(draw):
+    # a rational with a drawn expansion: small digits, and digits too wide
+    # for half a window; a trailing 1 is folded into the digit before it
+    digits = [draw(st.integers(-3, 3))] + draw(st.lists(
+        st.one_of(st.integers(1, 6), st.integers(1, 2**80)), min_size=0, max_size=150))
+    if len(digits) > 1 and draw(st.booleans()):
+        digits.append(1)
+    x = _cf_value(digits)
+    shape = draw(st.sampled_from(["equal", "exact", "dyadic"]))
+    if shape == "equal":
+        return x, x
+    w = draw(st.integers(8, 4000))
+    if shape == "dyadic":  # a long expansion, as spec_interval gives
+        b = w + draw(st.integers(0, 64))
+        x = Fraction(math.floor(x * 2**b), 2**b)
+    # otherwise lo's expansion ends at the drawn digits, often while the
+    # other endpoint's terms are still wider than a window
+    return x, x + Fraction(draw(st.integers(2**15, 2**16)), 2 ** (w + 16))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_rational_intervals())
+def test_interval_digits_match_reference(interval):
+    lo, hi = interval
+    assert cf._interval_digits(lo, hi) == _reference_interval_digits(lo, hi)
+    assert cf._interval_digits(hi, lo) == _reference_interval_digits(hi, lo)
+
+
+def test_interval_digits_edge_cases():
+    for lo, hi in [(Fraction(0), Fraction(0)), (Fraction(3), Fraction(3)),
+                   (Fraction(-7, 2), Fraction(-7, 2)), (Fraction(0), Fraction(1, 2**300)),
+                   (Fraction(5, 3), Fraction(5, 3) + Fraction(1, 2**500)),
+                   (_cf_value([0, 2, 3, 1]), _cf_value([0, 2, 4])),
+                   (Fraction(2**400 - 1, 2**401), Fraction(2**400 + 1, 2**401))]:
+        assert cf._interval_digits(lo, hi) == _reference_interval_digits(lo, hi)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except PrecisionExhausted as exc:
+        return type(exc), str(exc), exc.index, exc.bits
+
+
+@pytest.mark.parametrize("name", ["uniform:1", "uniform:20261017", "root:2,3", "root:5,4"])
+def test_expand_matches_reference_extraction(monkeypatch, name):
+    spec = IrrationalSpec.parse(name)
+
+    def both(K):
+        got = _outcome(lambda: cf.expand(spec, K))
+        with monkeypatch.context() as m:
+            m.setattr(cf, "_interval_digits", _reference_interval_digits)
+            want = _outcome(lambda: cf.expand(spec, K))
+        return got, want
+
+    for K in (0, 1, 50, 1000, 10000):
+        got, want = both(K)
+        assert got == want and len(got) == K + 1
+    for cap in (128, 256, 512, 200):
+        monkeypatch.setenv("DIOSUM_MAX_PRECISION_BITS", str(cap))
+        for K in (1, 20, 50, 120, 300):
+            got, want = both(K)
+            assert got == want, (cap, K)

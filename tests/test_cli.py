@@ -241,6 +241,16 @@ def test_mc_skipped_samples_logged():
     assert agg and agg[0]["count"] == "0"
 
 
+def test_cli_and_kernel_imports_leave_numpy_unloaded():
+    # numpy is imported by the functions that use it, which keeps CLI start-up
+    # short; kernel.discrepancy_profile is one of them
+    code = ("import sys; import diosum.kernel; k = 'numpy' in sys.modules; "
+            "import diosum.cli; print(k, 'numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=ROOT, check=True)
+    assert proc.stdout.split() == ["False", "False"]
+
+
 def test_cli_never_tracebacks():
     bad_invocations = [
         ("sum", "--family", "dist", "--alpha", "phi"),  # missing N

@@ -3,11 +3,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diosum import counting, reals, sums
+from diosum import counting, kernel, reals, sums
 from diosum.cf import IrrationalSpec, expand_data
 from diosum.errors import DiosumError, PrecisionExhausted
 
@@ -236,6 +237,26 @@ def test_discrepancy_profile_agrees(phi):
     for N in (1, 7, 25, 40):
         single = counting.discrepancy(phi, N)
         assert abs(prof[N - 1] - float(single.mid)) <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["phi", "e", "sqrt2", "uniform:5", "digits:0,1*10,10000,1*300"])
+def test_discrepancy_profile_bit_identical_across_backends(monkeypatch, name):
+    spec = IrrationalSpec.parse(name)
+    sizes = (1, 2, 3, 257, 3000)
+    runs = {}
+    for backend in kernel.available_backends():
+        monkeypatch.setattr(kernel, "_BACKEND", backend)
+        assert kernel.backend() == backend
+        runs[backend] = [counting.discrepancy_profile(spec, N_max) for N_max in sizes]
+    ref_out, ref_slack = runs[kernel.available_backends()[0]][-1]
+    for backend, profiles in runs.items():
+        for N_max, (out, slack) in zip(sizes, profiles):
+            assert out.dtype == slack.dtype == np.float64
+            # the first N points, and so their D_N, do not depend on N_max
+            assert out.tobytes() + slack.tobytes() == (
+                ref_out[:N_max].tobytes() + ref_slack[:N_max].tobytes()), (backend, N_max)
+    for N in (1, 2, 3, 50, 257, 3000):
+        assert Fraction(ref_out[N - 1]) == counting.discrepancy(spec, N).mid
 
 
 def test_local_disc_extrema_example(phi):

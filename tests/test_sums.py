@@ -408,6 +408,17 @@ def test_resolver_and_argmin_raise_at_the_cap(monkeypatch):
     assert 3 in sums.small_dist_indices(deep, 100)
 
 
+def test_argmin_tie_message_is_bounded(monkeypatch):
+    # ||3 alpha|| is about 2**-334: at 256 bits every wrapped interval reads
+    # as (0, 1), so all 300 indices stay candidates
+    deep = IrrationalSpec.parse(f"digits:0,1,2,{10**100},1*6000")
+    monkeypatch.setenv("DIOSUM_MAX_PRECISION_BITS", "256")
+    with pytest.raises(PrecisionExhausted, match=r"^argmin tie among 300 candidates ") as err:
+        sums.sum_shifted(deep, Fraction(1, 3), 300, "exclude_min")
+    assert len(str(err.value)) < 300
+    assert "at 256 bits" in str(err.value) and err.value.bits == 256
+
+
 def test_workers_bounded_and_validated(monkeypatch):
     monkeypatch.setenv("DIOSUM_WORKERS", "100000")
     assert sums._workers() == (os.cpu_count() or 1)

@@ -1,9 +1,11 @@
 /* Compiled term kernel for the 128-bit working representation.
 
-   Arithmetic mirrors diosum._pykernel exactly: unsigned 128-bit wraparound
-   is the fractional-part circle, reciprocal bounds use the same error-free
-   directed conversion and the same guard constants, and terms accumulate in
-   the same order, so results are bit-identical to the fallback at 128 bits.
+   One entry, block_128, runs sums and counts through one loop, run(), as
+   _pykernel.block does.  Arithmetic mirrors it exactly: unsigned 128-bit
+   wraparound is the fractional-part circle, reciprocal bounds use the same
+   error-free directed conversion and the same guard constants, and terms
+   accumulate in the same order, so results are bit-identical to the
+   fallback at 128 bits.
 
    Indices n, the interval widths n*aw + bw and the cut or threshold band
    must fit the integer types below; diosum.kernel sends other blocks to the
@@ -209,20 +211,28 @@ static int to_u128(PyObject *o, u128 *out, int wrap)
     return 1;
 }
 
-static PyObject *sum_block_128(PyObject *self, PyObject *args)
+/* block_128(a, aw, b, bw, n0, n1, variant, weight, band_lo, band_hi, exclude,
+   counting): _pykernel.block at bits = 128.  A sum takes None for no cut
+   band; a count needs its threshold band. */
+static PyObject *block_128(PyObject *self, PyObject *args)
 {
     job j = {0};
-    PyObject *a, *b, *cut_lo, *cut_hi, *exclude, *flags;
+    PyObject *a, *b, *band_lo, *band_hi, *exclude, *flags;
     u64 n0, n1;
+    int counting;
 
-    if (!PyArg_ParseTuple(args, "OO&OO&O&O&ipOOO:sum_block_128", &a, to_u64, &j.aw, &b,
+    if (!PyArg_ParseTuple(args, "OO&OO&O&O&ipOOOp:block_128", &a, to_u64, &j.aw, &b,
                           to_u64, &j.bw, to_u64, &n0, to_u64, &n1, &j.variant, &j.weight,
-                          &cut_lo, &cut_hi, &exclude))
+                          &band_lo, &band_hi, &exclude, &counting))
         return NULL;
     if (!to_u128(a, &j.a, 1) || !to_u128(b, &j.b, 1))
         return NULL;
-    j.has_cut = cut_lo != Py_None;
-    if (j.has_cut && (!to_u128(cut_lo, &j.band_lo, 0) || !to_u128(cut_hi, &j.band_hi, 0)))
+    j.has_cut = band_lo != Py_None;
+    if (counting && !j.has_cut) {
+        PyErr_SetString(PyExc_ValueError, "a count needs a threshold band");
+        return NULL;
+    }
+    if (j.has_cut && (!to_u128(band_lo, &j.band_lo, 0) || !to_u128(band_hi, &j.band_hi, 0)))
         return NULL;
     /* an exclude index outside u64 equals no n here */
     j.exclude = PyLong_AsUnsignedLongLong(exclude);
@@ -232,29 +242,10 @@ static PyObject *sum_block_128(PyObject *self, PyObject *args)
             return NULL;
         PyErr_Clear();
     }
-    flags = drive(&j, n0, n1, 0);
+    flags = drive(&j, n0, n1, counting);
     if (flags == NULL)
         return NULL;
     return Py_BuildValue("ddKN", j.s_lo, j.s_hi, (unsigned long long)j.hits, flags);
-}
-
-static PyObject *count_block_128(PyObject *self, PyObject *args)
-{
-    job j = {0};
-    PyObject *a, *b, *t_lo, *t_hi, *flags;
-    u64 n0, n1;
-
-    if (!PyArg_ParseTuple(args, "OO&OO&O&O&iOO:count_block_128", &a, to_u64, &j.aw, &b,
-                          to_u64, &j.bw, to_u64, &n0, to_u64, &n1, &j.variant, &t_lo,
-                          &t_hi))
-        return NULL;
-    if (!to_u128(a, &j.a, 1) || !to_u128(b, &j.b, 1) || !to_u128(t_lo, &j.band_lo, 0) ||
-        !to_u128(t_hi, &j.band_hi, 0))
-        return NULL;
-    flags = drive(&j, n0, n1, 1);
-    if (flags == NULL)
-        return NULL;
-    return Py_BuildValue("KN", (unsigned long long)j.hits, flags);
 }
 
 /* D_N of x_1..x_N for every N: x_N goes into the sorted scratch array at
@@ -333,12 +324,9 @@ done:
 }
 
 static PyMethodDef methods[] = {
-    {"sum_block_128", sum_block_128, METH_VARARGS,
-     "sum_block_128(a, aw, b, bw, n0, n1, variant, weight, cut_lo, cut_hi, exclude)\n"
-     "-> (s_lo, s_hi, included, flagged); _pykernel.sum_block at bits=128."},
-    {"count_block_128", count_block_128, METH_VARARGS,
-     "count_block_128(a, aw, b, bw, n0, n1, variant, t_lo, t_hi)\n"
-     "-> (count, flagged); _pykernel.count_block at bits=128."},
+    {"block_128", block_128, METH_VARARGS,
+     "block_128(a, aw, b, bw, n0, n1, variant, weight, band_lo, band_hi, exclude, counting)\n"
+     "-> (s_lo, s_hi, hits, flagged); _pykernel.block at bits=128."},
     {"disc_profile", disc_profile, METH_VARARGS,
      "disc_profile(xs, out)\n"
      "out[N-1] = D_N of xs[:N] for every N, as _pykernel.disc_profile; float64 buffers."},

@@ -1,22 +1,23 @@
 """Pure-Python term kernel.
 
 Evaluates blocks of terms 1/f(n*alpha + beta) where f is the fractional
-part, its complement, or the distance to the nearest integer, together
-with certified cutoff filtering and membership counting.
+part, its complement, or the distance to the nearest integer.  One loop,
+block(), serves both modes: sums with certified cutoff filtering, and
+membership counts against a threshold band.
 
 The fractional part of n*alpha + beta is carried as an exact integer
 interval [r, r+w] in units of 2**-bits; per-term reciprocal bounds are
 produced as IEEE doubles with error-free directed conversion (shift to
 <= 53 significant bits, then an exact power-of-two scaling) plus a single
 outward guard multiplication covering the division rounding.  The compiled
-kernel in _ckernel.c performs bit-identical arithmetic at bits == 128;
-this module is the reference it is tested against, the fallback when it is
-not built, and the kernel for other precisions and for blocks beyond its
-64-bit indices.
+kernel in _ckernel.c runs the same loop with bit-identical arithmetic at
+bits == 128; this module is the reference it is tested against, the
+fallback when it is not built, and the kernel for other precisions and for
+blocks beyond its 64-bit indices.
 
 Terms whose interval wraps the circle, touches zero, or is not separated
-from the cutoff are reported back by index for exact resolution by the
-caller; they are never guessed.
+from the cutoff or threshold band are reported back by index for exact
+resolution by the caller; they are never guessed.
 
 The module also holds the numpy discrepancy profile that disc_profile in
 _ckernel.c reproduces bit for bit; numpy is imported inside the functions
@@ -34,7 +35,7 @@ GUARD_DN = 1.0 - 2.0**-48
 MAX_KERNEL_BITS = 900  # beyond this the double conversion would go subnormal
 
 
-def sum_block(
+def block(
     a: int,
     aw: int,
     b: int,
@@ -43,34 +44,41 @@ def sum_block(
     n1: int,
     variant: int,
     weight: int,
-    cut_lo,
-    cut_hi,
+    band_lo,
+    band_hi,
     exclude: int,
+    counting: bool,
     bits: int,
 ):
-    """Sum of reciprocal terms for n in [n0, n1].
+    """One pass over n in [n0, n1]; returns (s_lo, s_hi, hits, flagged).
 
-    Returns (s_lo, s_hi, included, flagged): certified double bounds on the
-    sum over certified-included terms, the number of such terms, and the
-    indices needing exact resolution.
+    Sums: certified double bounds on the sum over the certified-included
+    terms (skipping n == exclude, and the terms certainly at or below the
+    cut band [band_lo, band_hi] unless it is None), and their number.
+    Counts: s_lo = s_hi = 0.0 and the number of n whose variant value is
+    certainly at or below the threshold band; weight and exclude are unused.
+    Either way `flagged` lists, in order, the indices needing exact
+    resolution.  The checks are those of run() in _ckernel.c, in its order.
     """
-    if bits > MAX_KERNEL_BITS:
+    if bits > MAX_KERNEL_BITS and not counting:
         raise ValueError("kernel bits too large for double conversion")
     modulus = 1 << bits
+    mask = modulus - 1
     half = modulus >> 1
-    has_cut = cut_lo is not None
+    has_cut = band_lo is not None
+    if counting:
+        exclude = n0 - 1  # equals no n in the block
     s_lo = 0.0
     s_hi = 0.0
-    included = 0
+    hits = 0
     flagged = []
     ldexp = math.ldexp
     for n in range(n0, n1 + 1):
         if n == exclude:
             continue
-        r = (n * a + b) % modulus
-        w = n * aw + bw
-        top = r + w
-        if top >= modulus:
+        r = (n * a + b) & mask  # == % modulus, also for negative values
+        top = r + n * aw + bw
+        if top >= modulus:  # the interval wraps through 0
             flagged.append(n)
             continue
         if variant == 0:  # distance to nearest integer
@@ -89,13 +97,19 @@ def sum_block(
                 flagged.append(n)
                 continue
             d_lo, d_hi = modulus - top, modulus - r
+        if counting:
+            if d_hi <= band_lo:
+                hits += 1
+            elif d_lo < band_hi:
+                flagged.append(n)
+            continue
         if d_lo <= 0:
             flagged.append(n)
             continue
         if has_cut:
-            if d_hi <= cut_lo:
+            if d_hi <= band_lo:
                 continue
-            if d_lo < cut_hi:
+            if d_lo < band_hi:
                 flagged.append(n)
                 continue
         sh = d_hi.bit_length() - 53
@@ -115,61 +129,8 @@ def sum_block(
             q_lo = q_lo / n
         s_hi += q_hi * GUARD_UP
         s_lo += q_lo * GUARD_DN
-        included += 1
-    return s_lo, s_hi, included, flagged
-
-
-def count_block(
-    a: int,
-    aw: int,
-    b: int,
-    bw: int,
-    n0: int,
-    n1: int,
-    variant: int,
-    t_lo: int,
-    t_hi: int,
-    bits: int,
-):
-    """Count of n in [n0, n1] with variant value <= threshold, exact.
-
-    Returns (count, flagged); ambiguous memberships are flagged, never
-    guessed.
-    """
-    modulus = 1 << bits
-    half = modulus >> 1
-    count = 0
-    flagged = []
-    for n in range(n0, n1 + 1):
-        r = (n * a + b) % modulus
-        w = n * aw + bw
-        top = r + w
-        if top >= modulus:
-            flagged.append(n)
-            continue
-        if variant == 0:
-            if top <= half:
-                d_lo, d_hi = r, top
-            elif r >= half:
-                d_lo, d_hi = modulus - top, modulus - r
-            else:
-                m_top = modulus - top
-                d_lo = r if r < m_top else m_top
-                d_hi = half
-        elif variant == 1:
-            d_lo, d_hi = r, top
-        else:
-            if r == 0:
-                flagged.append(n)
-                continue
-            d_lo, d_hi = modulus - top, modulus - r
-        if d_hi <= t_lo:
-            count += 1
-        elif d_lo >= t_hi:
-            pass
-        else:
-            flagged.append(n)
-    return count, flagged
+        hits += 1
+    return s_lo, s_hi, hits, flagged
 
 
 def disc_from_sorted(xs, N: int):

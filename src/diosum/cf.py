@@ -413,10 +413,10 @@ def expand(spec: IrrationalSpec, K: int) -> list:
 
 @dataclass(frozen=True)
 class ContinuedFractionData:
-    """Digits a_0..a_K with convergents and digit statistics, all exact."""
+    """Digits a_0..a_K with convergent denominators and digit statistics,
+    all exact."""
 
     digits: tuple
-    p: tuple
     q: tuple
     s: tuple  # s[k] = a_1 + ... + a_k, s[0] = 0
 
@@ -475,16 +475,11 @@ def stats(digits):
 
 def expand_data(spec: IrrationalSpec, K: int) -> ContinuedFractionData:
     digits = expand(spec, K)
-    conv = convergents(digits)
-    s = [0]
+    q, s = [0, 1], [0]  # q_{-1}, q_0
     for a in digits[1:]:
+        q.append(a * q[-1] + q[-2])
         s.append(s[-1] + a)
-    return ContinuedFractionData(
-        digits=tuple(digits),
-        p=tuple(p for p, _ in conv),
-        q=tuple(q for _, q in conv),
-        s=tuple(s),
-    )
+    return ContinuedFractionData(digits=tuple(digits), q=tuple(q[1:]), s=tuple(s))
 
 
 def locate_block(spec: IrrationalSpec, N: int) -> int:

@@ -531,7 +531,8 @@ def _build_parser():
 
 
 def _load_config(path: str) -> list:
-    argv = []
+    """(key, value) pairs of a flat key = value file."""
+    pairs = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for line in fh:
@@ -541,27 +542,39 @@ def _load_config(path: str) -> list:
                 if "=" not in line:
                     raise DiosumError(f"bad config line {line!r}")
                 key, _, value = line.partition("=")
-                argv.append(f"--{key.strip()}")
-                argv.append(value.strip())
+                pairs.append((key.strip(), value.strip()))
     except OSError as exc:
         raise DiosumError(f"cannot read config {path!r}: {exc}") from exc
-    return argv
+    return pairs
 
 
-_KNOWN_FLAGS = {
-    "expand": {"--alpha", "--terms", "--format", "--output"},
-    "sum": {"--family", "--alpha", "--c", "--beta", "--weight", "--mode", "--N",
-            "--N-geom", "--format", "--output"},
-    "compare": {"--theorem", "--alpha", "--c", "--beta", "--variant", "--weight",
-                "--family", "--K", "--evidence", "--N", "--N-geom", "--format",
-                "--output"},
-    "mc": {"--samples", "--seed0", "--stat", "--N", "--c", "--K", "--format",
-           "--output"},
-}
+def _config_flags(parser, command: str, pairs) -> list:
+    """Config pairs as flags of `command`'s subparser.  Keys it does not
+    take are dropped; a store_true key adds the bare flag for true or 1 and
+    nothing for false or 0."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    target = sub.choices.get(command)
+    if target is None:  # argparse reports the bad subcommand
+        return []
+    actions = {opt: act for act in target._actions for opt in act.option_strings
+               if not isinstance(act, argparse._HelpAction)}
+    flags = []
+    for key, value in pairs:
+        action = actions.get(f"--{key}")
+        if action is None:
+            continue
+        if not isinstance(action, argparse._StoreTrueAction):
+            flags += [f"--{key}", value]
+        elif value in ("true", "1"):
+            flags.append(f"--{key}")
+        elif value not in ("false", "0"):
+            raise DiosumError(f"config key {key!r} takes true, false, 1 or 0, not {value!r}")
+    return flags
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    parser = _build_parser()
     # lift --config out, expand it into defaults placed before user flags
     try:
         if "--config" in argv:
@@ -574,16 +587,8 @@ def main(argv=None) -> int:
             if not argv:
                 print("a subcommand is required", file=sys.stderr)
                 return EXIT_USAGE
-            config_argv = _load_config(path)
-            known = _KNOWN_FLAGS.get(argv[0], set())
-            filtered = []
-            j = 0
-            while j < len(config_argv) - 1:
-                if config_argv[j] in known:
-                    filtered.extend(config_argv[j : j + 2])
-                j += 2
-            argv = [argv[0]] + filtered + argv[1:]
-        parser = _build_parser()
+            flags = _config_flags(parser, argv[0], _load_config(path))
+            argv = [argv[0]] + flags + argv[1:]
         args = parser.parse_args(argv)
     except DiosumError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -44,7 +44,7 @@ from .reals import (
     precision_cap,
     resolve_forms,
 )
-from .sums import CHUNK, half_lattice
+from .sums import half_lattice
 
 __all__ = [
     "count_dist_le",
@@ -100,13 +100,7 @@ def count_dist_le(spec: IrrationalSpec, N: int, t, variant: str = "dist",
     b, wb = beta_scaled(beta, bits)
     b %= 1 << bits
     t_lo, tw = beta_scaled(t, bits)
-    total = 0
-    flagged = []
-    for n0 in range(1, N + 1, CHUNK):
-        n1 = min(n0 + CHUNK - 1, N)
-        cnt, flags = kernel.count_block(a, 1, b, wb, n0, n1, vid, t_lo, t_lo + tw, bits)
-        total += cnt
-        flagged += flags
+    total, flagged = kernel.count_block(a, 1, b, wb, 1, N, vid, t_lo, t_lo + tw, bits)
     return total + sum(_resolve_members((spec,), [(n,) for n in flagged], beta, vid, t))
 
 

@@ -1,12 +1,14 @@
 """Backend selection for the term kernel.
 
-The compiled extension (_ckernel.c) handles the default 128-bit working
-representation whenever the indices, the interval widths n*aw + bw and the
-cut or threshold band fit its 64- and 128-bit integers; the pure-Python
-module handles every other block, any precision, and is the fallback when
-the extension is unavailable.  Both produce bit-identical results at 128
-bits.  DIOSUM_KERNEL (auto, c or py; read once, at import) forces a backend:
-py is used by the benchmark and the equivalence tests.
+Sums and counts are one kernel loop per backend, and _block is the one
+place that picks the backend for a block.  The compiled extension
+(_ckernel.c) handles the default 128-bit working representation whenever
+the indices, the interval widths n*aw + bw and the cut or threshold band
+fit its 64- and 128-bit integers; the pure-Python module handles every
+other block, any precision, and is the fallback when the extension is
+unavailable.  Both produce bit-identical results at 128 bits.
+DIOSUM_KERNEL (auto, c or py; read once, at import) forces a backend: py
+is used by the benchmark and the equivalence tests.
 
 The discrepancy profile dispatches the same way: the extension's loop and
 the numpy loop in _pykernel give bit-identical floats.
@@ -66,22 +68,26 @@ def _use_c(bits, aw, bw, n0, n1, band) -> bool:
     )
 
 
-def sum_block(a, aw, b, bw, n0, n1, variant, weight, cut, exclude, bits):
-    """Dispatching wrapper; `cut` is None or an exact integer pair (lo, hi)."""
-    cut_lo, cut_hi = cut if cut is not None else (None, None)
-    if _use_c(bits, aw, bw, n0, n1, cut):
-        return _ckernel.sum_block_128(
-            a, aw, b, bw, n0, n1, variant, weight, cut_lo, cut_hi, exclude
+def _block(a, aw, b, bw, n0, n1, variant, weight, band, exclude, counting, bits):
+    """One block on the backend that can run it: (s_lo, s_hi, hits, flagged)."""
+    band_lo, band_hi = band if band is not None else (None, None)
+    if _use_c(bits, aw, bw, n0, n1, band):
+        return _ckernel.block_128(
+            a, aw, b, bw, n0, n1, variant, weight, band_lo, band_hi, exclude, counting
         )
-    return _pykernel.sum_block(
-        a, aw, b, bw, n0, n1, variant, weight, cut_lo, cut_hi, exclude, bits
+    return _pykernel.block(
+        a, aw, b, bw, n0, n1, variant, weight, band_lo, band_hi, exclude, counting, bits
     )
 
 
+def sum_block(a, aw, b, bw, n0, n1, variant, weight, cut, exclude, bits):
+    """(s_lo, s_hi, included, flagged); `cut` is None or an exact pair (lo, hi)."""
+    return _block(a, aw, b, bw, n0, n1, variant, weight, cut, exclude, False, bits)
+
+
 def count_block(a, aw, b, bw, n0, n1, variant, t_lo, t_hi, bits):
-    if _use_c(bits, aw, bw, n0, n1, (t_lo, t_hi)):
-        return _ckernel.count_block_128(a, aw, b, bw, n0, n1, variant, t_lo, t_hi)
-    return _pykernel.count_block(a, aw, b, bw, n0, n1, variant, t_lo, t_hi, bits)
+    """(count, flagged) for the threshold band [t_lo, t_hi]."""
+    return _block(a, aw, b, bw, n0, n1, variant, 0, (t_lo, t_hi), 0, True, bits)[2:]
 
 
 def discrepancy_profile(xs):

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kernel
+from ._pykernel import GUARD_DN, GUARD_UP
 from .cf import IrrationalSpec, expand_data, locate_block
 from .errors import DiosumError, PrecisionExhausted, RationalDependence
 from .reals import (
@@ -53,8 +54,6 @@ __all__ = [
 
 CHUNK = 1 << 14
 DEFAULT_REL_TOL = Fraction(1, 10**9)
-_GUARD_UP = 1.0 + 2.0**-48
-_GUARD_DN = 1.0 - 2.0**-48
 
 
 @dataclass(frozen=True)
@@ -310,8 +309,7 @@ def _argmin_variant(spec, beta, N, variant_name):
     b, wb = beta_scaled(beta, bits)
     threshold = max(1, (4 << bits) // N)
     while threshold < modulus:
-        flagged = [n for n0 in range(1, N + 1, CHUNK) for n in kernel.count_block(
-            a, 1, b % modulus, wb, n0, min(n0 + CHUNK - 1, N), variant, 0, threshold, bits)[1]]
+        flagged = kernel.count_block(a, 1, b % modulus, wb, 1, N, variant, 0, threshold, bits)[1]
         ivals = boxes(flagged, bits)
         if any(hi < threshold for _, _, hi in ivals):
             break
@@ -430,8 +428,8 @@ def sum_multidim(specs, N: int, weight: str = "1") -> SumResult:
         s_lo, s_hi, m, flags = kernel.sum_block(
             mult, 1, base, bw, j0, j1, VARIANT_DIST, int(wd is None), None, 0, bits)
         if wd not in (1, None):
-            s_lo = (s_lo * _div_dn(1, wd)) * _GUARD_DN
-            s_hi = (s_hi * _div_up(1, wd)) * _GUARD_UP
+            s_lo = (s_lo * _div_dn(1, wd)) * GUARD_DN
+            s_hi = (s_hi * _div_up(1, wd)) * GUARD_UP
         lo_leaves.append(s_lo)
         hi_leaves.append(s_hi)
         if flags:

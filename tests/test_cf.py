@@ -81,8 +81,11 @@ def test_determinant_and_growth_properties(p, d, q, K):
             return
     spec = IrrationalSpec.quadratic_surd(p, d, q)
     data = cf.expand_data(spec, K)
+    conv = cf.convergents(data.digits)
+    assert tuple(qk for _, qk in conv) == data.q
     for k in range(1, K + 1):
-        assert data.q[k] * data.p[k - 1] - data.q[k - 1] * data.p[k] == (-1) ** k
+        (p0, q0), (p1, q1) = conv[k - 1], conv[k]
+        assert q1 * p0 - q0 * p1 == (-1) ** k
         assert data.s[k] <= data.q[k]
     for k in range(2, K + 1):
         assert data.q[k] > data.q[k - 1]

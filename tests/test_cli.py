@@ -173,6 +173,30 @@ def test_config_file_defaults_and_override(tmp_path):
     assert proc2.stdout.startswith("row_type,")
 
 
+def test_config_boolean_keys(tmp_path):
+    args = ("compare", "--theorem", "thm3.2", "--alpha", "sqrt2", "--beta", "1/3",
+            "--N", "100", "--config")
+    header = {}
+    for value in ("true", "1", "false", "0"):
+        cfg = tmp_path / f"{value}.cfg"
+        cfg.write_text(f"evidence = {value}\n")
+        header[value] = parse_csv(run_cli(*args, str(cfg)).stdout)[0].keys()
+    assert "hyp_min_evidence" in header["true"] and header["1"] == header["true"]
+    assert "hyp_min_evidence" not in header["false"] and header["0"] == header["false"]
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("evidence = yes\n")
+    proc = run_cli(*args, str(cfg), check=False)
+    assert proc.returncode == 2
+    assert "'evidence'" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_config_keys_of_other_subcommands_are_ignored(tmp_path):
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("family = harmonic\nevidence = true\nterms = 2\n")
+    proc = run_cli("expand", "--alpha", "phi", "--config", str(cfg))
+    assert [r["a_k"] for r in parse_csv(proc.stdout)] == ["1", "1", "1"]
+
+
 def test_output_file(tmp_path):
     out = tmp_path / "rows.csv"
     run_cli("expand", "--alpha", "sqrt2", "--terms", "4", "--output", str(out))

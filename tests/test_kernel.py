@@ -41,9 +41,9 @@ def test_sum_block_bit_identical(variant, weight):
     for spec, a, b, wb in _cases():
         for cut in (None, (1 << 118, (1 << 118) + 1)):
             got_c = kernel.sum_block(a, 1, b, wb, 1, 3000, variant, weight, cut, 0, 128)
-            got_py = _pykernel.sum_block(
+            got_py = _pykernel.block(
                 a, 1, b, wb, 1, 3000, variant, weight,
-                cut[0] if cut else None, cut[1] if cut else None, 0, 128,
+                cut[0] if cut else None, cut[1] if cut else None, 0, False, 128,
             )
             assert got_c == got_py
 
@@ -54,7 +54,8 @@ def test_count_block_bit_identical():
             t_lo = (t.numerator << 128) // t.denominator
             band = (t_lo, t_lo + 1)
             got_c = kernel.count_block(a, 1, b, wb, 1, 2500, 0, band[0], band[1], 128)
-            got_py = _pykernel.count_block(a, 1, b, wb, 1, 2500, 0, band[0], band[1], 128)
+            got_py = _pykernel.block(
+                a, 1, b, wb, 1, 2500, 0, 0, band[0], band[1], 0, True, 128)[2:]
             assert got_c == got_py
 
 
@@ -74,7 +75,7 @@ def test_flagged_terms_match_and_resolve(phi):
     b, wb = beta_scaled(beta, 128)
     b %= 1 << 128
     got_c = kernel.sum_block(a, 1, b, wb, 1, 40, 0, 0, None, 0, 128)
-    got_py = _pykernel.sum_block(a, 1, b, wb, 1, 40, 0, 0, None, None, 0, 128)
+    got_py = _pykernel.block(a, 1, b, wb, 1, 40, 0, 0, None, None, 0, False, 128)
     assert got_c == got_py
     assert 5 in got_c[3]
     # the full driver resolves the flag exactly and still meets tolerance
@@ -127,12 +128,12 @@ def test_block_flagging_more_than_buffer_matches():
     a = frac_scaled(spec, 128)
     for variant in (0, 1, 2):
         got_c = kernel.sum_block(a, 1, 0, 0, 1, 16384, variant, 1, None, 0, 128)
-        got_py = _pykernel.sum_block(a, 1, 0, 0, 1, 16384, variant, 1, None, None, 0, 128)
+        got_py = _pykernel.block(a, 1, 0, 0, 1, 16384, variant, 1, None, None, 0, False, 128)
         assert got_c == got_py
         assert len(got_c[3]) > 256
     t_lo = (1 << 128) // 7
     got_c = kernel.count_block(a, 1, 0, 0, 1, 16384, 0, t_lo, t_lo + 1, 128)
-    got_py = _pykernel.count_block(a, 1, 0, 0, 1, 16384, 0, t_lo, t_lo + 1, 128)
+    got_py = _pykernel.block(a, 1, 0, 0, 1, 16384, 0, 0, t_lo, t_lo + 1, 0, True, 128)[2:]
     assert got_c == got_py
 
 
@@ -148,9 +149,9 @@ def test_blocks_near_u64_limit_match(n0, n1, aw):
     a = frac_scaled(IrrationalSpec.phi(), 128)
     for variant in (0, 1, 2):
         got = kernel.sum_block(a, aw, 0, 0, n0, n1, variant, 1, None, n0 + 2, 128)
-        assert got == _pykernel.sum_block(
-            a, aw, 0, 0, n0, n1, variant, 1, None, None, n0 + 2, 128
+        assert got == _pykernel.block(
+            a, aw, 0, 0, n0, n1, variant, 1, None, None, n0 + 2, False, 128
         )
     t_lo = (1 << 128) // 7
     got = kernel.count_block(a, aw, 0, 0, n0, n1, 0, t_lo, t_lo + 1, 128)
-    assert got == _pykernel.count_block(a, aw, 0, 0, n0, n1, 0, t_lo, t_lo + 1, 128)
+    assert got == _pykernel.block(a, aw, 0, 0, n0, n1, 0, 0, t_lo, t_lo + 1, 0, True, 128)[2:]

@@ -13,18 +13,42 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diosum import counting, kernel
+from diosum import _pykernel, counting, kernel
 from diosum.cf import IrrationalSpec
 from diosum.reals import beta_scaled, frac_scaled, map_variant
 from exact_surd import Surd
 
 PHI = IrrationalSpec.phi()
-MOD = 1 << 128
+
+
+def _sum_term(use_kernel, a, b, wb, n, variant, weight, band, bits, exclude=0):
+    if use_kernel:
+        return kernel.sum_block(a, 1, b, wb, n, n, variant, weight, band, exclude, bits)
+    lo, hi = band if band is not None else (None, None)
+    return _pykernel.block(a, 1, b, wb, n, n, variant, weight, lo, hi, exclude, False, bits)
+
+
+def _count_term(use_kernel, a, b, wb, n, variant, band, bits):
+    if use_kernel:
+        return kernel.count_block(a, 1, b, wb, n, n, variant, band[0], band[1], bits)
+    # a count ignores `exclude`
+    return _pykernel.block(a, 1, b, wb, n, n, variant, 0, band[0], band[1], n, True, bits)[2:]
+
+
+def _band(x: Fraction, bits: int):
+    lo, w = beta_scaled(x, bits)
+    return lo, lo + w
 
 
 def test_single_term_bounds_contain_exact_reciprocal():
     """Kernel double bounds must bracket the exact rational 1/d for the very
-    same integer interval the kernel saw."""
+    same integer interval the kernel saw, on the dispatching kernel and on
+    the pure-Python loop, at 128 and 256 bits.  With a cut band, a term is
+    included only if its whole interval is at or above the cutoff and
+    skipped only if it is at or below; a count takes a term only if its
+    whole interval is at or below the threshold.  Flags are raised exactly
+    where the interval wraps, touches 0 (sums only), reaches 1 or meets
+    the band."""
     rng = random.Random(99)
     specs = [PHI, IrrationalSpec.sqrt2(), IrrationalSpec.e(), IrrationalSpec.uniform(5)]
     for _ in range(400):
@@ -32,23 +56,59 @@ def test_single_term_bounds_contain_exact_reciprocal():
         n = rng.randint(1, 10**6)
         variant = rng.randrange(3)
         weight = rng.randrange(2)
-        a = frac_scaled(spec, 128)
-        s_lo, s_hi, m, flags = kernel.sum_block(
-            a, 1, 0, 0, n, n, variant, weight, None, 0, 128
-        )
-        if flags:
-            continue
-        r = (n * a) % MOD
-        d_lo, d_hi = map_variant(r, n, MOD, variant)
-        div = n if weight else 1
-        exact_lo = Fraction(MOD, d_hi * div)
-        exact_hi = Fraction(MOD, d_lo * div)
-        assert Fraction(s_lo) <= exact_lo
-        assert Fraction(s_hi) >= exact_hi
-        # the bounds stay tight: within a relative 2**-40 of the exact ones
-        assert Fraction(s_hi) - Fraction(s_lo) <= (exact_hi) * Fraction(1, 2**40) + (
-            exact_hi - exact_lo
-        )
+        bits = rng.choice((128, 256))
+        mod = 1 << bits
+        a = frac_scaled(spec, bits)
+        # the last three start the interval at 0, end it at 1, put it across 1/2
+        na = (n * a) % mod
+        beta = rng.choice((Fraction(0), Fraction(rng.randint(-50, 50), rng.randint(1, 60)),
+                           Fraction(-na, mod), Fraction(-na - n, mod),
+                           Fraction((mod >> 1) - 1 - na, mod)))
+        b, wb = beta_scaled(beta, bits)
+        b %= mod
+        mapped = map_variant((n * a + b) % mod, n + wb, mod, variant)
+        d_lo, d_hi = mapped or (0, mod)
+        unmapped = mapped is None or d_hi == mod
+        probes = [Fraction(rng.randint(1, 10**6), 10**6 + rng.randint(1, 99))]
+        if mapped is not None:  # bands at, just inside and between the ends
+            probes += [Fraction(d, mod) + Fraction(e, 3 * mod)
+                       for d, e in ((d_lo, 0), (d_lo, 1), (d_hi, -1), (d_hi, 0))]
+            probes.append(Fraction(d_lo + d_hi, 2 * mod) + Fraction(1, 3 * mod))
+        for use_kernel in (True, False):
+            assert _sum_term(use_kernel, a, b, wb, n, variant, weight, None, bits,
+                             exclude=n) == (0.0, 0.0, 0, [])
+            for cut in [None] + probes:
+                band = _band(cut, bits) if cut is not None else None
+                s_lo, s_hi, m, flags = _sum_term(use_kernel, a, b, wb, n, variant,
+                                                 weight, band, bits)
+                meets = band is not None and band[0] < d_hi and d_lo < band[1]
+                assert bool(flags) == (unmapped or d_lo == 0 or meets)
+                if flags:
+                    assert (m, flags) == (0, [n])
+                    continue
+                if m == 0:  # skipped by the cut
+                    assert cut is not None and Fraction(d_hi, mod) <= cut
+                    continue
+                assert m == 1 and (cut is None or Fraction(d_lo, mod) >= cut)
+                div = n if weight else 1
+                exact_lo = Fraction(mod, d_hi * div)
+                exact_hi = Fraction(mod, d_lo * div)
+                assert Fraction(s_lo) <= exact_lo
+                assert Fraction(s_hi) >= exact_hi
+                # the bounds stay tight: within a relative 2**-40 of the exact ones
+                assert Fraction(s_hi) - Fraction(s_lo) <= (exact_hi) * Fraction(1, 2**40) + (
+                    exact_hi - exact_lo
+                )
+            for t in probes:
+                band = _band(t, bits)
+                count, flags = _count_term(use_kernel, a, b, wb, n, variant, band, bits)
+                assert bool(flags) == (unmapped or (band[0] < d_hi and d_lo < band[1]))
+                if flags:
+                    assert count == 0 and flags == [n]
+                elif count:
+                    assert count == 1 and Fraction(d_hi, mod) <= t
+                else:
+                    assert Fraction(d_lo, mod) >= t
 
 
 def _mobius_as_surd(y, n_plus_v: Fraction, u: Fraction) -> Surd:

@@ -27,6 +27,7 @@ __all__ = [
     "expand",
     "expand_data",
     "convergents",
+    "last_denominator",
     "stats",
     "locate_block",
     "best_approx_error",
@@ -258,8 +259,8 @@ def spec_interval(spec: IrrationalSpec, bits: int):
             Fraction(a + 1, 1 << (bits + 2)),
         )
     # e-constant and explicit digits: bracket by consecutive convergents,
-    # whose gap is 1/(q_k q_{k+1}).
-    digits = []
+    # whose gap is 1/(q_k q_{k+1}).  The product is below 2**bits while the
+    # bit lengths sum to at most bits, so it is only formed past that.
     pm1, qm1 = 1, 0
     p0, q0 = None, None
     k = 0
@@ -276,8 +277,7 @@ def spec_interval(spec: IrrationalSpec, bits: int):
         else:
             p0, pm1 = a * p0 + pm1, p0
             q0, qm1 = a * q0 + qm1, q0
-        digits.append(a)
-        if k >= 1 and q0 * qm1 > (1 << bits):
+        if k >= 1 and q0.bit_length() + qm1.bit_length() > bits and q0 * qm1 > (1 << bits):
             lo = Fraction(pm1, qm1)
             hi = Fraction(p0, q0)
             if lo > hi:
@@ -461,6 +461,23 @@ def convergents(digits) -> list:
             q, qm1 = a * q + qm1, q
         out.append((p, q))
     return out
+
+
+def last_denominator(digits) -> int:
+    """q_K for the digits a_0..a_K: the top-left entry of the product of the
+    matrices [[a_k, 1], [1, 0]] over k >= 1, multiplied as a balanced tree
+    so that the big products pair operands of similar size."""
+    mats = [(a, 1, 1, 0) for a in digits[1:]]
+    if not mats:
+        return 1
+    while len(mats) > 1:
+        pairs = []
+        for (p, q, r, s), (P, Q, R, S) in zip(mats[::2], mats[1::2]):
+            pairs.append((p * P + q * R, p * Q + q * S, r * P + s * R, r * Q + s * S))
+        if len(mats) % 2:
+            pairs.append(mats[-1])
+        mats = pairs
+    return mats[0][0]
 
 
 def stats(digits):

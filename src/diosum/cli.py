@@ -362,8 +362,7 @@ def cmd_mc(args, writer) -> int:
         N = args.N_mc
         if N is None:
             raise DiosumError("--N is required for --stat sums")
-        if N < 1:
-            raise DiosumError("--N must be >= 1")
+        sums._check_N(N)
         c = Fraction(1, 2) if args.c is None else args.c
         if c <= 0:
             raise DiosumError("--c must be a positive rational")

@@ -13,7 +13,10 @@ quadratically in the number of digits of N.  The state keeps y as an integer
 Moebius transform of alpha and z = (U + V y) / D with integers U, V, D, so
 every floor taken along the way is a certified decision about a linear
 fractional expression in alpha (with an exact algebraic test for the integer
-edge case, which alpha's irrationality makes decidable).
+edge case, which alpha's irrationality makes decidable).  Each level takes
+only the floors its last move left unknown, on an enclosure of y rounded
+outward to the bits the current N needs; a floor left open there is retried
+on the exact enclosure before the precision is doubled (see _gsum).
 
 Discrepancy is computed by the standard finite reduction over intervals
 with endpoints at the sample points; local discrepancy extrema are exact
@@ -170,9 +173,42 @@ def _floor(K: int, U: int, D: int, y, e):
     return None
 
 
-def _gsum_brute(ctx: _Ctx, N: int, y, U: int, V: int, D: int, w: int, e) -> int:
+def _cut(n: int, d: int, bits: int, up: bool):
+    """n/d for 0 <= n < d, rounded up or down to a denominator of about
+    `bits` bits: one of n, d is floored and the other raised by one."""
+    s = d.bit_length() - bits
+    if s <= 0:
+        return n, d
+    if up:
+        return (n >> s) + 1, d >> s
+    return n >> s, (d >> s) + 1
+
+
+def _round_out(e, bits: int, rising: bool):
+    """e rounded outward, the lower end down and the upper end up, with
+    positive denominators of about `bits` bits.
+
+    Both ends must lie in [0, 1); `rising` says whether the first end is the
+    lower one."""
+    nl, dl, nh, dh = e
+    if dl < 0:  # the pole check leaves both denominators one sign
+        nl, dl, nh, dh = -nl, -dl, -nh, -dh
+    return (*_cut(nl, dl, bits, not rising), *_cut(nh, dh, bits, rising))
+
+
+def _retry(ctx: _Ctx, w: int, y, exact: bool):
+    """(w, e) after a floor left open on e: the exact enclosure at the same
+    w if e was rounded, else the exact one at the next precision."""
+    if exact:
+        return _refine(ctx, w, y)
+    return w, _enclose(ctx, w, y)
+
+
+def _gsum_brute(ctx: _Ctx, N: int, y, U: int, V: int, D: int, w: int, e,
+                exact: bool) -> int:
     """Direct evaluation of sum_{n<=N} floor(((n D + V) y + U) / D);
-    undecided indices are retried at doubled precision."""
+    undecided indices are retried on the exact enclosure, then at doubled
+    precision."""
     total = 0
     pending = range(1, N + 1)
     while True:
@@ -186,7 +222,8 @@ def _gsum_brute(ctx: _Ctx, N: int, y, U: int, V: int, D: int, w: int, e) -> int:
         if not retry:
             return total
         pending = retry
-        w, e = _refine(ctx, w, y)
+        w, e = _retry(ctx, w, y, exact)
+        exact = True
 
 
 def _gsum(ctx: _Ctx, N: int, y, u: Fraction, v: Fraction) -> int:
@@ -195,13 +232,32 @@ def _gsum(ctx: _Ctx, N: int, y, u: Fraction, v: Fraction) -> int:
     y is an integer Moebius 4-tuple acting on alpha; z is kept as
     (U + V y) / D over one fixed denominator D, which subtracting floors,
     reflecting and inverting all preserve, so the state is integers only.
-    One enclosure of y, the tuple evaluated at the two ends of frac(alpha)'s
-    enclosure, moves with y through every step and is recomputed only when
-    a floor is left open, at doubled precision.  The descent keeps
-    0 < y < 1/2 (reflecting y -> 1 - y when needed) so N shrinks at least
-    geometrically, and bottoms out at direct evaluation below
-    _BRUTE_CUTOFF.  The result is total + sign * G(N, y, z) for the current
-    state, so a reflection flips the sign instead of recursing.
+    One enclosure of y moves with y through every step by the same integer
+    row operations.  The descent keeps 0 < y < 1/2 (reflecting y -> 1 - y
+    when needed) so N shrinks at least geometrically, and bottoms out at
+    direct evaluation below _BRUTE_CUTOFF.  The result is
+    total + sign * G(N, y, z) for the current state, so a reflection flips
+    the sign instead of recursing.
+
+    Each level takes floor(y) and floor(z) after an inversion, then
+    floor(2 y), then M = floor(N y + z), but no floor that the last move
+    already fixed: a translation by (floor(y), floor(z)) leaves both 0, and a
+    reflection leaves floor(y) = 0 and y < 1/2, with z = -z_old, so
+    floor(z) = -1 unless U = V = 0 (y is irrational).  Taken on the exact
+    enclosure, these floors would need no refine either, unless after a
+    reflection an end of it sat exactly on y = 1/2 or z = 0.
+
+    Once 0 < y < 1 the enclosure is rounded outward to about
+    bits(N D + |U| + |V|) + 64 bits, enough to decide M with a 2**-64
+    margin, instead of carrying products about 2 bits(N_start) - bits(q)
+    wide.  The rounded enclosure holds the exact one, so every floor it
+    decides is certified and every floor open on the exact one is open on
+    it.  A floor it leaves open is retried on the exact enclosure,
+    _enclose(ctx, w, y) at the same w, and only a floor open there doubles
+    w: the precision escalates, and PrecisionExhausted is raised, at the
+    same steps as without rounding.  The levels below widen a rounding by
+    about q^2, so the exact enclosure comes back about once per 64 bits
+    of q.
     """
     D = math.lcm(u.denominator, v.denominator)
     U = u.numerator * (D // u.denominator)
@@ -211,6 +267,10 @@ def _gsum(ctx: _Ctx, N: int, y, u: Fraction, v: Fraction) -> int:
     # uncertainty: twice N's bits plus a margin decide them
     w = min(ctx.cap, 2 * (N.bit_length() + max(map(abs, y)).bit_length()) + 64)
     e = _enclose(ctx, w, y)
+    exact = True
+    a, b, c, d = y
+    rising = a * d > b * c  # the first end of e is the lower one
+    stage = 0  # 0: floor(y), floor(z) unknown; 1: both 0; 2: also y < 1/2
     total = 0
     sign = 1
     while True:
@@ -218,46 +278,62 @@ def _gsum(ctx: _Ctx, N: int, y, u: Fraction, v: Fraction) -> int:
             return total
         nl, dl, nh, dh = e
         if not (dl > 0 < dh or dl < 0 > dh):  # a pole of y inside the enclosure
-            w, e = _refine(ctx, w, y)
+            w, e = _retry(ctx, w, y, exact)
+            exact = True
             continue
         if N < _BRUTE_CUTOFF:
-            return total + sign * _gsum_brute(ctx, N, y, U, V, D, w, e)
+            return total + sign * _gsum_brute(ctx, N, y, U, V, D, w, e, exact)
         a, b, c, d = y
-        fy = _floor(1, 0, 1, y, e)
-        fz = _floor(V, U, D, y, e)
-        if fy is None or fz is None:
-            w, e = _refine(ctx, w, y)
-            continue
-        if fy or fz:
-            total += sign * (fy * (N * (N + 1) // 2) + fz * N)
-            y = (a - fy * c, b - fy * d, c, d)
-            e = (nl - fy * dl, dl, nh - fy * dh, dh)
-            U += V * fy - fz * D
-            continue
-        # now 0 < y < 1, 0 <= z < 1
-        two_y = _floor(2, 0, 1, y, e)
-        if two_y is None:
-            w, e = _refine(ctx, w, y)
-            continue
-        if two_y:
-            # reflect y -> 1 - y (in (0, 1/2)); floor(n y + z) becomes
-            # n - 1 - floor(n y' - z) except at exact-integer hits, which
-            # require v = -n and u integral and are counted exactly.
-            y = (c - a, d - b, c, d)
-            e = (dl - nl, dl, dh - nh, dh)
-            U = -(U + V)
-            corr = 0
-            if V % D == 0 and U % D == 0:
-                n_hit = -V // D  # an exact hit needs n = -v (and u integral)
-                if 1 <= n_hit <= N:
-                    corr = 1
-            # G_old = N(N+1)/2 - N + corr - G_new
-            total += sign * (N * (N + 1) // 2 - N + corr)
-            sign = -sign
-            continue
+        if stage == 0:
+            fy = _floor(1, 0, 1, y, e)
+            fz = _floor(V, U, D, y, e)
+            if fy is None or fz is None:
+                w, e = _retry(ctx, w, y, exact)
+                exact = True
+                continue
+            if fy or fz:
+                total += sign * (fy * (N * (N + 1) // 2) + fz * N)
+                a, b = a - fy * c, b - fy * d
+                y = (a, b, c, d)
+                e = (nl - fy * dl, dl, nh - fy * dh, dh)
+                U += V * fy - fz * D
+            # now 0 < y < 1, 0 <= z < 1
+            e = _round_out(e, (N * D + abs(U) + abs(V)).bit_length() + 64, rising)
+            nl, dl, nh, dh = e
+            exact = False
+            stage = 1
+        if stage == 1:
+            two_y = _floor(2, 0, 1, y, e)
+            if two_y is None:
+                w, e = _retry(ctx, w, y, exact)
+                exact = True
+                continue
+            if two_y:
+                # reflect y -> 1 - y (in (0, 1/2)); floor(n y + z) becomes
+                # n - 1 - floor(n y' - z) except at exact-integer hits, which
+                # require v = -n and u integral and are counted exactly.
+                a, b = c - a, d - b
+                y = (a, b, c, d)
+                nl, nh = dl - nl, dh - nh
+                e = (nl, dl, nh, dh)
+                rising = not rising
+                U = -(U + V)
+                corr = 0
+                if V % D == 0 and U % D == 0:
+                    n_hit = -V // D  # an exact hit needs n = -v (and u integral)
+                    if 1 <= n_hit <= N:
+                        corr = 1
+                # G_old = N(N+1)/2 - N + corr - G_new
+                total += sign * (N * (N + 1) // 2 - N + corr)
+                sign = -sign
+                if U or V:  # z = -z_old in (-1, 0): translate by (0, -1)
+                    total -= sign * N
+                    U += D
+            stage = 2
         M = _floor(V + N * D, U, D, y, e)
         if M is None:
-            w, e = _refine(ctx, w, y)
+            w, e = _retry(ctx, w, y, exact)
+            exact = True
             continue
         if M <= 0:
             return total
@@ -267,6 +343,7 @@ def _gsum(ctx: _Ctx, N: int, y, u: Fraction, v: Fraction) -> int:
         e = (-dl, nl, -dh, nh)
         U, V = V, -U
         N = M
+        stage = 0
 
 
 def count_fast(spec: IrrationalSpec, N: int, t, variant: str = "dist",

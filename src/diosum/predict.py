@@ -17,7 +17,13 @@ import statistics
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .cf import ContinuedFractionData, IrrationalSpec, expand_data
+from .cf import (
+    ContinuedFractionData,
+    IrrationalSpec,
+    expand,
+    last_denominator,
+    stats,
+)
 from .errors import BlockMismatch, DigitsExhausted, DiosumError, PrecisionExhausted
 
 __all__ = [
@@ -382,7 +388,7 @@ def metric_stats(seeds, K: int, phi=None) -> dict:
     samples = []
     for seed in seeds:
         try:
-            data = expand_data(IrrationalSpec.uniform(seed), K)
+            digits = expand(IrrationalSpec.uniform(seed), K)
         except PrecisionExhausted as exc:
             samples.append(
                 MetricSample(seed, K, math.nan, math.nan, 0, None, skipped=str(exc))
@@ -391,15 +397,16 @@ def metric_stats(seeds, K: int, phi=None) -> dict:
         exceed = None
         if phi_fn is not None:
             exceed = sum(
-                1 for k, a in enumerate(data.digits[1:], start=1) if a >= phi_fn(k)
+                1 for k, a in enumerate(digits[1:], start=1) if a >= phi_fn(k)
             )
+        _, max_quotient, trimmed = stats(digits)
         samples.append(
             MetricSample(
                 seed=seed,
                 K=K,
-                log_qK_over_K=int_log(data.q[K]) / K,
-                trimmed_over_KlogK=data.trimmed_sum / (K * math.log(K)),
-                max_quotient=data.max_quotient,
+                log_qK_over_K=int_log(last_denominator(digits)) / K,
+                trimmed_over_KlogK=trimmed / (K * math.log(K)),
+                max_quotient=max_quotient,
                 exceedances=exceed,
             )
         )

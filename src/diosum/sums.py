@@ -211,9 +211,15 @@ def _sum_range(spec, beta, N, variant, weight, cutoff, exclude, bits):
     return _assemble(lo_leaves, hi_leaves, included, bits, len(flagged)), included
 
 
+# sums add every term, and the compiled kernel's term indices are 64-bit
+N_LIMIT = 1 << 64
+
+
 def _check_N(N):
     if N < 1:
         raise DiosumError("N must be >= 1")
+    if N >= N_LIMIT:
+        raise DiosumError(f"N must be below 2**64 = {N_LIMIT}: sums add every term")
 
 
 def _certified_sum(spec, N, variant_name, weight_name, cutoff, beta, exclude,
@@ -412,6 +418,7 @@ def sum_multidim(specs, N: int, weight: str = "1") -> SumResult:
     d = len(specs)
     if d < 1 or N < 1:
         raise DiosumError("need d >= 1 and N >= 1")
+    _check_N(N)
     if weight not in ("1", "linf"):
         raise DiosumError("weight must be '1' or 'linf'")
     bits = 128

@@ -15,13 +15,27 @@ settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
 
 
+def _stale_extension() -> bool:
+    """Whether _ckernel.c is newer than the extension module loaded from
+    beside it: the in-place build is not redone by running the tests."""
+    if kernel._ckernel is None:
+        return False
+    built = kernel._ckernel.__file__
+    source = os.path.join(os.path.dirname(built), "_ckernel.c")
+    return os.path.exists(source) and os.path.getmtime(source) > os.path.getmtime(built)
+
+
 def pytest_report_header(config):
-    # without the compiled extension the cross-backend tests are skipped
+    # without the compiled extension the cross-backend tests are skipped;
+    # with a stale one they compare the Python loop against an old C loop
     try:
         chosen = kernel.backend()
     except DiosumError as exc:  # a bad DIOSUM_KERNEL
         chosen = f"none ({exc})"
-    return f"diosum kernel backend: {chosen}; available: {', '.join(kernel.available_backends())}"
+    line = f"diosum kernel backend: {chosen}; available: {', '.join(kernel.available_backends())}"
+    if _stale_extension():
+        line += "; stale: run python setup.py build_ext --inplace"
+    return line
 
 
 @pytest.fixture

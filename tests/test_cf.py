@@ -99,6 +99,17 @@ def test_stats_examples():
     assert s == 9 and mx == 4 and trimmed == 5
 
 
+@pytest.mark.parametrize("name", ["phi", "e", "uniform:470823", "digits:3,1,4,1,5,9,2,6"])
+def test_last_denominator_matches_recurrence(name):
+    spec = IrrationalSpec.parse(name)
+    for K in (0, 1, 2, 3, 7, 64, 1000):
+        try:
+            data = cf.expand_data(spec, K)
+        except DigitsExhausted:
+            continue
+        assert cf.last_denominator(data.digits) == data.q[K], K
+
+
 def test_e_digit_sum_growth():
     # the every-third-digit pattern makes s_K = K^2/9 + O(K)
     for K in (300, 1000, 3000):
@@ -344,3 +355,40 @@ def test_expand_matches_reference_extraction(monkeypatch, name):
         for K in (1, 20, 50, 120, 300):
             got, want = both(K)
             assert got == want, (cap, K)
+
+
+def _reference_spec_interval(spec, bits):
+    """Consecutive convergents bracketing alpha, the product formed at
+    every digit."""
+    pm1, qm1 = 1, 0
+    k = 0
+    while True:
+        try:
+            a = cf._digit_at(spec, k)
+        except DigitsExhausted:
+            raise DigitsExhausted(
+                f"{spec.label()} has too few digits for {bits}-bit enclosure", bits=bits)
+        if k == 0:
+            p0, q0 = a, 1
+        else:
+            p0, pm1 = a * p0 + pm1, p0
+            q0, qm1 = a * q0 + qm1, q0
+        if k >= 1 and q0 * qm1 > (1 << bits):
+            return tuple(sorted((Fraction(pm1, qm1), Fraction(p0, q0))))
+        k += 1
+
+
+@pytest.mark.parametrize("name", ["e", "digits:0,1*40", "digits:1,2,3,1000,1*30",
+                                  "digits:0,2,7", "digits:5"])
+def test_spec_interval_matches_reference(name):
+    spec = IrrationalSpec.parse(name)
+    for bits in [*range(0, 130), 255, 256, 257, 1000, 8200]:
+        try:
+            got = cf.spec_interval(spec, bits)
+        except DigitsExhausted as exc:
+            got = str(exc), exc.bits
+        try:
+            want = _reference_spec_interval(spec, bits)
+        except DigitsExhausted as exc:
+            want = str(exc), exc.bits
+        assert got == want, bits

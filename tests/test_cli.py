@@ -20,7 +20,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SCHEMA_PATH = ROOT / "docs" / "row_schema.json"
 
 
-def run_cli(*args, env_extra=None, check=True):
+def run_cli(*args, env_extra=None, check=True, timeout=None):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
@@ -30,6 +30,7 @@ def run_cli(*args, env_extra=None, check=True):
         text=True,
         env=env,
         cwd=ROOT,
+        timeout=timeout,
     )
     if check and proc.returncode != 0:
         raise AssertionError(f"exit {proc.returncode}: {proc.stderr}")
@@ -406,3 +407,17 @@ def test_exclude_min_rejects_N_zero():
     proc = run_cli("sum", "--family", "shifted", "--alpha", "phi", "--beta", "1/3",
                    "--mode", "exclude-min", "--N", "0", check=False)
     assert proc.returncode == 2 and "N must be >= 1" in proc.stderr, proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("sum", "--family", "harmonic", "--alpha", "phi", "--N", "99999999999999999999999"),
+    ("compare", "--theorem", "thm2.1", "--alpha", "phi", "--N", "1e21"),
+    ("mc", "--samples", "2", "--stat", "sums", "--N", "1e20"),
+    ("sum", "--family", "multidim", "--alpha", "cbrt2,cbrt4", "--N", "1e20"),
+], ids=["sum", "compare", "mc", "multidim"])
+def test_sums_past_2_64_terms_exit_2_at_once(args):
+    # these used to run with no output until killed
+    proc = run_cli(*args, check=False, timeout=30)
+    assert proc.returncode == 2, proc.stderr
+    assert "below 2**64" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""

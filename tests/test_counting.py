@@ -141,6 +141,144 @@ def test_count_fast_pinned_at_huge_N(name, N, t, digests):
         assert hashlib.sha256(str(got).encode()).hexdigest() == want, variant
 
 
+def _reference_gsum_brute(ctx, N, y, U, V, D, w, e):
+    total = 0
+    pending = range(1, N + 1)
+    while True:
+        retry = []
+        for n in pending:
+            f = counting._floor(n * D + V, U, D, y, e)
+            if f is None:
+                retry.append(n)
+            else:
+                total += f
+        if not retry:
+            return total
+        pending = retry
+        w, e = counting._refine(ctx, w, y)
+
+
+def _reference_gsum(ctx, N, y, u, v):
+    """The descent with every floor taken at every step, on the exact
+    enclosure at full width."""
+    D = math.lcm(u.denominator, v.denominator)
+    U = u.numerator * (D // u.denominator)
+    V = v.numerator * (D // v.denominator)
+    w = min(ctx.cap, 2 * (N.bit_length() + max(map(abs, y)).bit_length()) + 64)
+    e = counting._enclose(ctx, w, y)
+    total = 0
+    sign = 1
+    while True:
+        if N <= 0:
+            return total
+        nl, dl, nh, dh = e
+        if not (dl > 0 < dh or dl < 0 > dh):
+            w, e = counting._refine(ctx, w, y)
+            continue
+        if N < counting._BRUTE_CUTOFF:
+            return total + sign * _reference_gsum_brute(ctx, N, y, U, V, D, w, e)
+        a, b, c, d = y
+        fy = counting._floor(1, 0, 1, y, e)
+        fz = counting._floor(V, U, D, y, e)
+        if fy is None or fz is None:
+            w, e = counting._refine(ctx, w, y)
+            continue
+        if fy or fz:
+            total += sign * (fy * (N * (N + 1) // 2) + fz * N)
+            y = (a - fy * c, b - fy * d, c, d)
+            e = (nl - fy * dl, dl, nh - fy * dh, dh)
+            U += V * fy - fz * D
+            continue
+        two_y = counting._floor(2, 0, 1, y, e)
+        if two_y is None:
+            w, e = counting._refine(ctx, w, y)
+            continue
+        if two_y:
+            y = (c - a, d - b, c, d)
+            e = (dl - nl, dl, dh - nh, dh)
+            U = -(U + V)
+            corr = 0
+            if V % D == 0 and U % D == 0:
+                n_hit = -V // D
+                if 1 <= n_hit <= N:
+                    corr = 1
+            total += sign * (N * (N + 1) // 2 - N + corr)
+            sign = -sign
+            continue
+        M = counting._floor(V + N * D, U, D, y, e)
+        if M is None:
+            w, e = counting._refine(ctx, w, y)
+            continue
+        if M <= 0:
+            return total
+        total += sign * (N * M + M)
+        y = (-c, -d, a, b)
+        e = (-dl, nl, -dh, nh)
+        U, V = V, -U
+        N = M
+
+
+def _count_outcome(*args):
+    try:
+        return counting.count_fast(*args)
+    except PrecisionExhausted as exc:
+        return type(exc), str(exc), exc.index, exc.bits
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    name=st.sampled_from(["phi", "e", "cbrt2", "root:5,4", "uniform:1", "uniform:20261017"]),
+    N=st.integers(20, 300).flatmap(lambda k: st.integers(10**(k - 1), 10**k)),
+    t=st.fractions(Fraction(1, 10**6), Fraction(1, 2)),
+    beta=st.fractions(-3, 3, max_denominator=10**12),
+    variant=st.sampled_from(["dist", "frac", "complement"]),
+    cap=st.one_of(st.none(), st.sampled_from([128, 200, 256, 512])),
+)
+def test_count_fast_matches_reference_descent(name, N, t, beta, variant, cap):
+    # the skipped floors and the rounded enclosure change no count, no
+    # escalation and no PrecisionExhausted (message and bits included)
+    spec = IrrationalSpec.parse(name)
+    with pytest.MonkeyPatch.context() as m:
+        if cap is not None:
+            m.setenv("DIOSUM_MAX_PRECISION_BITS", str(cap))
+        got = _count_outcome(spec, N, t, variant, beta)
+        m.setattr(counting, "_gsum", _reference_gsum)
+        want = _count_outcome(spec, N, t, variant, beta)
+    assert got == want
+
+
+@st.composite
+def _unit_pair(draw):
+    """n/d in [0, 1) with d of up to 1200 bits."""
+    d = draw(st.integers(1, 2**draw(st.integers(1, 1200))))
+    return draw(st.integers(0, d - 1)), d
+
+
+@settings(max_examples=300, deadline=None)
+@given(ends=st.lists(_unit_pair(), min_size=2, max_size=2,
+                     unique_by=lambda p: Fraction(*p)),
+       bits=st.integers(8, 1000), negate=st.booleans())
+def test_round_out_encloses_exact_pair(ends, bits, negate):
+    # a rounding one unit inward would leave the result tests passing under
+    # the 64-bit margin, so check the enclosure itself, in both orientations
+    lower, upper = sorted(ends, key=lambda p: Fraction(*p))
+    for rising in (True, False):
+        e = (*lower, *upper) if rising else (*upper, *lower)
+        if negate:  # the same values over negative denominators
+            e = tuple(-x for x in e)
+        nl, dl, nh, dh = counting._round_out(e, bits, rising)
+        out = [(nl, dl), (nh, dh)] if rising else [(nh, dh), (nl, dl)]
+        (n0, d0), (n1, d1) = out
+        assert d0 > 0 and d1 > 0
+        assert Fraction(n0, d0) <= Fraction(*lower) and Fraction(*upper) <= Fraction(n1, d1)
+        for (n, d), (rn, rd) in zip((lower, upper), out):
+            if d.bit_length() > bits:  # cut to about `bits` bits
+                assert rd.bit_length() <= bits + 1
+                assert abs(Fraction(rn, rd) - Fraction(n, d)) <= Fraction(4, 2**bits)
+            else:
+                assert (rn, rd) == (n, d)
+
+
 def test_count_fast_precision_cap(phi, monkeypatch):
     monkeypatch.setenv("DIOSUM_MAX_PRECISION_BITS", "512")
     with pytest.raises(PrecisionExhausted):

@@ -93,6 +93,20 @@ def test_sum_frac_validation(phi):
         sums.sum_frac(phi, 5, Fraction(1, 2), "nope", "1")
 
 
+def test_sums_reject_N_past_the_kernel_index_range(phi):
+    # every term is added, one per 64-bit kernel index
+    sums._check_N(sums.N_LIMIT - 1)
+    N = sums.N_LIMIT
+    for call in (lambda: sums.sum_dist(phi, N, Fraction(1, 2)),
+                 lambda: sums.sum_harmonic_dist(phi, N),
+                 lambda: sums.sum_frac(phi, N, Fraction(1, 2)),
+                 lambda: sums.sum_shifted(phi, Fraction(1, 3), N),
+                 lambda: sums.find_min_index(phi, 0, N),
+                 lambda: sums.sum_multidim((phi, phi), N)):
+        with pytest.raises(DiosumError, match=r"below 2\*\*64"):
+            call()
+
+
 def test_find_min_index_examples(phi):
     assert sums.find_min_index(phi, 0, 5) == 5
     assert sums.find_min_index(phi, 0, 3) == 3
